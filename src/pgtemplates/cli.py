@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 parse or usage error, 3 template conflict,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -13,8 +14,8 @@ from .compose import ComposeState, add_objective, compose_templates
 from .fault import (CSV_HEADER, fault_correction, gaf_tolerant,
                     simulate_fault_conflicts)
 from .gameio import (ParseError, _EDGE_RE, emit_game, parse_game,
-                     parse_strategy, parse_template, strategy_text,
-                     template_text)
+                     parse_strategy, parse_template, resolve_edges,
+                     resolve_vertices, strategy_text, template_text)
 from .generator import GeneratorConfig, generate
 from .graph import GameGraph, GraphBuildError
 from .oracle import OracleSizeError, brute_force_gen_parity_region, zielonka_regions
@@ -37,40 +38,39 @@ def _load_game(path: str):
     return parse_game(_read(path))
 
 
-def _vertex_arg(g: GameGraph, token: str) -> int:
-    token = token.strip()
-    if g.names is not None:
-        try:
-            return g.id_of(token)
-        except KeyError:
-            pass
-    if token.isdigit() and int(token) < g.vertex_count:
-        return int(token)
-    raise ValueError("unknown vertex %r" % token)
+def _vertex_args(g: GameGraph, text: str):
+    """Vertex ids of a comma-separated vertex list."""
+    ids, bad, why = resolve_vertices(g, [tok.strip() for tok in text.split(",")])
+    if bad >= 0:
+        raise ValueError(why)
+    return ids.tolist()
 
 
 def _vertex_list(g, vs) -> str:
     return " ".join(g.name_of(int(v)) for v in sorted(vs))
 
 
-def _edge_list_arg(g: GameGraph, text: str) -> list[tuple[int, int]]:
-    edges = []
+_EDGE_ARG = re.compile(r"[ ,\t]*" + _EDGE_RE.pattern)
+_SEPARATORS = re.compile(r"[ ,\t]*")
+
+
+def _edge_list_arg(g: GameGraph, text: str):
+    """Edge ids of an edge list such as "(u,v),(u,w)"."""
+    us, vs = [], []
     pos = 0
-    while pos < len(text):
-        if text[pos] in " ,\t":
-            pos += 1
-            continue
-        m = _EDGE_RE.match(text, pos)
-        if m is None:
-            raise ValueError("expected an edge of the form (u,v) at %r"
-                             % text[pos:])
-        u = _vertex_arg(g, m.group(1))
-        v = _vertex_arg(g, m.group(2))
-        if not g.has_edge(u, v):
-            raise ValueError("no such edge (%s,%s)" % (m.group(1), m.group(2)))
-        edges.append((u, v))
+    for m in _EDGE_ARG.finditer(text):
+        if m.start() != pos:
+            break
+        us.append(m.group(1))
+        vs.append(m.group(2))
         pos = m.end()
-    return edges
+    ids, bad, why = resolve_edges(g, us, vs)
+    if bad >= 0:
+        raise ValueError(why)
+    pos = _SEPARATORS.match(text, pos).end()
+    if pos < len(text):
+        raise ValueError("expected an edge of the form (u,v) at %r" % text[pos:])
+    return ids
 
 
 def _pick_objective(objectives, index: int):
@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
         s = parse_strategy(_read(args.strategy), g)
     start = None
     if args.start:
-        start = [_vertex_arg(g, tok) for tok in args.start.split(",")]
+        start = _vertex_args(g, args.start)
     verdict = verify_strategy(g, s, objectives, start=start)
     if verdict.is_winning:
         print("winning from: " + _vertex_list(g, verdict.queried))
@@ -172,9 +172,7 @@ def _cmd_fault(args) -> int:
         print("adapted by marking the faulty edges unsafe")
     else:
         print("conflict; re-solved on the graph without the faulty edges")
-    sys.stdout.write(template_text(adapted))
-    if args.output:
-        _write(args.output, template_text(adapted))
+    _emit_template(adapted, args.output)
     return 0
 
 

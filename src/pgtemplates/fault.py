@@ -128,16 +128,25 @@ def fault_correction(g: GameGraph, priorities: PriorityFunction,
     return parity_template(g2, p2).template
 
 
+def _allowed_mask(g: GameGraph, t: StrategyTemplate) -> np.ndarray:
+    """Player-0 edges inside the region that are neither unsafe nor
+    co-live: the edges an online strategy may play."""
+    src = g.edge_sources()
+    region = t.region_mask
+    return (region[src] & region[g.edge_targets] & ~t.banned_mask()
+            & (g.owners[src] == PLAYER0))
+
+
 def gaf_tolerant(g: GameGraph, t: StrategyTemplate,
                  faulty) -> tuple[bool, frozenset[int]]:
     """Sufficient condition for surviving intermittent faults: every
-    player-0 vertex of the region keeps an edge that is neither unsafe,
-    co-live, nor fallible.  Returns (ok, offending vertices)."""
+    player-0 vertex of the region keeps an edge into the region that is
+    neither unsafe, co-live, nor fallible.  Returns (ok, offending
+    vertices)."""
     if isinstance(faulty, FaultModel):
         faulty = faulty.faulty
-    blocked = t.banned_mask() | _fault_mask(g, faulty)
-    src = g.edge_sources()
-    free = np.bincount(src[~blocked], minlength=g.vertex_count)
+    usable = _allowed_mask(g, t) & ~_fault_mask(g, faulty)
+    free = np.bincount(g.edge_sources()[usable], minlength=g.vertex_count)
     offending = np.flatnonzero(t.region_mask & (g.owners == PLAYER0) & (free == 0))
     return offending.size == 0, frozenset(int(v) for v in offending)
 
@@ -161,9 +170,7 @@ class OnlineStrategy:
                 "template cannot tolerate these faults; stuck at vertices %s"
                 % sorted(offending))
         src = g.edge_sources()
-        region = t.region_mask
-        allowed = (region[src] & region[g.edge_targets] & ~t.banned_mask()
-                   & (g.owners[src] == PLAYER0))
+        allowed = _allowed_mask(g, t)
         live_edge = np.zeros(g.edge_count, dtype=np.bool_)
         for lg in t.live_groups:
             live_edge[lg.edge_ids] = True

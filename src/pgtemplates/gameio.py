@@ -11,17 +11,26 @@ Owner 0 is the protagonist.  Lines whose first non-blank character is
 are renumbered densely in ascending id order and emit always writes
 that normal form, so emit(parse(text)) is a fixpoint after one round.
 
-Errors carry 1-based line and column positions.
+Parsing works on whole texts and arrays: one ASCII check, one
+precompiled fullmatch per line, one numpy conversion for all numeric
+tokens and vectorized checks over the resulting arrays.  Errors carry
+1-based line and column positions, taken from the match offsets, and
+are reported in the order a line-by-line reading meets them.  Only a
+line that its pattern rejects is walked again by a cursor (_Scanner),
+to find the column where it goes wrong.
 """
 from __future__ import annotations
 
 import re
+from itertools import repeat
+from operator import itemgetter
+from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .graph import Edge, GameGraph, GraphBuilder, PLAYER0, PriorityFunction
+from .graph import GameGraph, PLAYER0, PriorityFunction
 from .strategy import Strategy
-from .template import StrategyTemplate
+from .template import StrategyTemplate, live_group
 
 
 class ParseError(ValueError):
@@ -59,114 +68,235 @@ class _Scanner:
             self.error("unexpected trailing text")
 
 
-def _int_list(token: str) -> list[int]:
-    return [int(x) for x in token.split(",")]
+def _accepted(lineno: int) -> NoReturn:
+    raise RuntimeError("line %d: the cursor accepts a line its pattern "
+                       "rejects" % lineno)
 
 
-def _check_ascii(line: str, lineno: int) -> None:
-    for i, ch in enumerate(line):
-        if ord(ch) > 127:
-            raise ParseError("non-ASCII character", lineno, i + 1)
+# -- lines and numbers ----------------------------------------------------
+
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+_INT64_MAX = np.iinfo(np.int64).max
+_SHORT_NUMBERS = re.compile(r"[0-9]{1,18}(?:,[0-9]{1,18})*")
 
 
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.split("\n"), 1):
-        _check_ascii(raw, lineno)
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, raw
+def _ascii_lines(text: str) -> tuple[list[str], ParseError | None]:
+    """The lines before the first one holding a non-ASCII character, and
+    the error for that character (None when the whole text is ASCII)."""
+    if text.isascii():
+        return text.split("\n"), None
+    i = _NON_ASCII.search(text).start()
+    start = text.rfind("\n", 0, i) + 1
+    lines = text[:start].split("\n")[:-1]
+    return lines, ParseError("non-ASCII character", len(lines) + 1, i - start + 1)
+
+
+def _skipped(raw: str) -> bool:
+    """Blank lines and comments."""
+    stripped = raw.strip()
+    return not stripped or stripped[0] == "#"
+
+
+def _int_array(joined: str) -> np.ndarray:
+    """Comma-separated decimal numbers, already validated, as one array:
+    int64, or Python ints when a number might not fit."""
+    vals = np.fromstring(joined, dtype=np.int64, sep=",")
+    if vals.size and vals.max() == _INT64_MAX:  # numbers that do not fit saturate
+        return np.array([int(t) for t in joined.split(",")], dtype=object)
+    return vals
+
+
+def _counts(fields: Sequence[str]) -> np.ndarray:
+    """Number of comma-separated items in each field."""
+    return np.fromiter(map(str.count, fields, repeat(",")), dtype=np.int64,
+                       count=len(fields)) + 1
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
+
+
+def _regroup(counts: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Index array that lays the consecutive segments of the given
+    lengths out again in the given segment order."""
+    starts = _offsets(counts)[:-1]
+    lens = counts[order]
+    new_starts = _offsets(lens)[:-1]
+    return (np.repeat(starts[order] - new_starts, lens)
+            + np.arange(int(lens.sum()), dtype=np.int64))
+
+
+# -- game files ------------------------------------------------------------
+
+_HEADER = re.compile(r"[ \t]*(?:parity[ \t]*([0-9]+)"
+                     r"|genparity[ \t]*([0-9]+)(?![0-9])[ \t]*([0-9]+))"
+                     r"[ \t]*;[ \t]*")
+# id, priorities, owner, successors, optional name; the lookaheads make
+# each number and list as long as the cursor would take it
+_RECORD = re.compile(r"[ \t]*([0-9]+)(?![0-9])[ \t]*([0-9]+(?:,[0-9]+)*)(?!,?[0-9])"
+                     r"[ \t]*([01])[ \t]*([0-9]+(?:,[0-9]+)*)(?!,?[0-9])"
+                     r"[ \t]*(?:\"([^\"]*)\"[ \t]*)?;[ \t]*")
+
+
+def _header_error(raw: str, lineno: int) -> NoReturn:
+    s = _Scanner(raw, lineno)
+    s.skip_ws()
+    kw = s.take(r"[A-Za-z]+", "header keyword 'parity' or 'genparity'")
+    if kw.group(0) not in ("parity", "genparity"):
+        s.pos -= len(kw.group(0))
+        s.error("header keyword 'parity' or 'genparity'")
+    s.skip_ws()
+    s.take(r"\d+", "maximal vertex id")
+    if kw.group(0) == "genparity":
+        s.skip_ws()
+        if int(s.take(r"\d+", "objective count").group(0)) < 1:
+            s.error("objective count must be at least 1")
+    s.skip_ws()
+    s.take(r";", "';'")
+    s.expect_end()
+    _accepted(lineno)
+
+
+def _parse_header(raw: str, lineno: int) -> tuple[int, int]:
+    """(max_id, objective count) of the header line."""
+    m = _HEADER.fullmatch(raw)
+    if m is None:
+        _header_error(raw, lineno)
+    if m.group(1) is not None:
+        return int(m.group(1)), 1
+    k = int(m.group(3))
+    if k < 1:
+        raise ParseError("objective count must be at least 1", lineno, m.end(3) + 1)
+    return int(m.group(2)), k
+
+
+def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
+    """Walk a record line the record pattern rejected, making the checks
+    a line-by-line reading makes on the way."""
+    s = _Scanner(raw, lineno)
+    s.skip_ws()
+    vid = int(s.take(r"\d+", "vertex id").group(0))
+    if vid > max_id:
+        s.pos -= len(str(vid))
+        s.error("vertex id %d exceeds declared maximum %d" % (vid, max_id))
+    if vid in seen:
+        s.pos -= len(str(vid))
+        s.error("duplicate record for vertex %d" % vid)
+    s.skip_ws()
+    pcol = s.pos + 1
+    got = s.take(r"\d+(?:,\d+)*", "priority list").group(0).count(",") + 1
+    if got != k:
+        raise ParseError("expected %d comma-separated priorities, got %d" % (k, got),
+                         lineno, pcol)
+    s.skip_ws()
+    s.take(r"[01]", "owner (0 or 1)")
+    s.skip_ws()
+    s.take(r"\d+(?:,\d+)*", "successor list")
+    s.skip_ws()
+    if s.pos < len(s.text) and s.text[s.pos] == '"':
+        s.take(r'"[^"]*"', "closing quote")
+        s.skip_ws()
+    s.take(r";", "';'")
+    s.expect_end()
+    _accepted(lineno)
+
+
+def _check_records(lines, linenos, vids, prio_fields, max_id: int, k: int) -> None:
+    """The per-record checks, in line order: id within the declared
+    maximum, no second record for an id, k priorities."""
+    dup = np.ones(len(vids), dtype=np.bool_)
+    dup[np.unique(vids, return_index=True)[1]] = False
+    nprio = _counts(prio_fields)
+    bad = np.flatnonzero((vids > max_id) | dup | (nprio != k))
+    if not bad.size:
+        return
+    r = int(bad[0])
+    lineno = linenos[r]
+    m = _RECORD.fullmatch(lines[lineno - 1])
+    vid = vids[r]
+    col = m.end(1) - len(str(vid)) + 1
+    if vid > max_id:
+        raise ParseError("vertex id %d exceeds declared maximum %d" % (vid, max_id),
+                         lineno, col)
+    if dup[r]:
+        raise ParseError("duplicate record for vertex %d" % vid, lineno, col)
+    raise ParseError("expected %d comma-separated priorities, got %d"
+                     % (k, nprio[r]), lineno, m.start(2) + 1)
 
 
 def parse_game(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
     """Parse a parity/genparity file into a graph and its objectives."""
+    lines, bad_char = _ascii_lines(text)
+    # id, priorities, owner, successors and name of every record line
+    fields = [m.groups() if m else None for m in map(_RECORD.fullmatch, lines)]
+    is_record = np.fromiter(map(bool, fields), dtype=np.bool_, count=len(lines))
+    first_record = int(np.argmax(is_record)) if is_record.any() else len(lines)
     header = None  # (max_id, k)
-    records: dict[int, tuple] = {}  # id -> (prios, owner, succs, name, line, scol)
-    for lineno, raw in _content_lines(text):
-        s = _Scanner(raw, lineno)
-        s.skip_ws()
-        if header is None:
-            kw = s.take(r"[A-Za-z]+", "header keyword 'parity' or 'genparity'")
-            if kw.group(0) == "parity":
-                s.skip_ws()
-                max_id = int(s.take(r"\d+", "maximal vertex id").group(0))
-                k = 1
-            elif kw.group(0) == "genparity":
-                s.skip_ws()
-                max_id = int(s.take(r"\d+", "maximal vertex id").group(0))
-                s.skip_ws()
-                k = int(s.take(r"\d+", "objective count").group(0))
-                if k < 1:
-                    s.error("objective count must be at least 1")
-            else:
-                s.pos -= len(kw.group(0))
-                s.error("header keyword 'parity' or 'genparity'")
-            s.skip_ws()
-            s.take(r";", "';'")
-            s.expect_end()
-            header = (max_id, k)
+    rejected = None
+    for i in np.flatnonzero(~is_record).tolist():
+        if _skipped(lines[i]):
             continue
+        if header is None and i < first_record:
+            header = _parse_header(lines[i], i + 1)
+            continue
+        rejected = i + 1
+        break
+    if header is None and first_record < len(lines):
+        _header_error(lines[first_record], first_record + 1)
 
-        max_id, k = header
-        vid = int(s.take(r"\d+", "vertex id").group(0))
-        if vid > max_id:
-            s.pos -= len(str(vid))
-            s.error("vertex id %d exceeds declared maximum %d" % (vid, max_id))
-        if vid in records:
-            s.pos -= len(str(vid))
-            s.error("duplicate record for vertex %d" % vid)
-        s.skip_ws()
-        pcol = s.pos + 1
-        prios = _int_list(s.take(r"\d+(?:,\d+)*", "priority list").group(0))
-        if len(prios) != k:
-            raise ParseError(
-                "expected %d comma-separated priorities, got %d" % (k, len(prios)),
-                lineno, pcol)
-        s.skip_ws()
-        owner = int(s.take(r"[01]", "owner (0 or 1)").group(0))
-        s.skip_ws()
-        scol = s.pos + 1
-        succs = _int_list(s.take(r"\d+(?:,\d+)*", "successor list").group(0))
-        s.skip_ws()
-        name = None
-        if s.pos < len(s.text) and s.text[s.pos] == '"':
-            name = s.take(r'"([^"]*)"', "closing quote").group(1)
-            s.skip_ws()
-        s.take(r";", "';'")
-        s.expect_end()
-        records[vid] = (prios, owner, succs, name, lineno, scol)
-
+    stop = len(lines) if rejected is None else rejected - 1
+    linenos = (np.flatnonzero(is_record[:stop]) + 1).tolist()
+    if linenos:
+        vid_f, prio_f, owner_f, succ_f, name_f = zip(*filter(None, fields[:stop]))
+        del fields
+        vids = _int_array(",".join(vid_f))
+        _check_records(lines, linenos, vids, prio_f, *header)
+    if rejected is not None:
+        seen = set(vids.tolist()) if linenos else set()
+        _record_error(lines[rejected - 1], rejected, *header, seen)
+    if bad_char is not None:
+        raise bad_char
     if header is None:
         raise ParseError("missing header", 1, 1)
-    if not records:
+    if not linenos:
         raise ParseError("no vertex records", 1, 1)
 
-    ids = sorted(records)
-    dense = {vid: i for i, vid in enumerate(ids)}
-    named = any(records[vid][3] is not None for vid in ids)
-    builder = GraphBuilder()
-    for vid in ids:
-        prios, owner, succs, name, lineno, scol = records[vid]
-        label = None
-        if named:
-            label = name if name is not None else str(vid)
-        builder.add_vertex(owner, label)
-    for vid in ids:
-        prios, owner, succs, name, lineno, scol = records[vid]
-        for t in succs:
-            if t not in dense:
-                raise ParseError("successor %d has no record" % t, lineno, scol)
-            try:
-                builder.add_edge(dense[vid], dense[t])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, scol) from exc
-    g = builder.build()
+    # dense ids in ascending id order; successors laid out in that order
+    order = np.argsort(vids, kind="stable")
+    ids = vids[order]
+    n = len(ids)
+    deg = _counts(succ_f)
+    flat = _regroup(deg, order)
+    targets = _int_array(",".join(succ_f))[flat]
+    dst = np.minimum(np.searchsorted(ids, targets), n - 1).astype(np.int64)
+    missing = ids[dst] != targets
+    off = _offsets(deg[order])
+    keys = np.repeat(np.arange(n, dtype=np.int64), deg[order]) * n + dst
+    keys[missing] = -1 - np.flatnonzero(missing)
+    by_key = np.argsort(keys, kind="stable")
+    dup = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
+    bad = np.concatenate([np.flatnonzero(missing), dup])
+    if bad.size:
+        pos = int(bad.min())
+        u = int(np.searchsorted(off, pos, side="right")) - 1
+        lineno = linenos[int(order[u])]
+        col = _RECORD.fullmatch(lines[lineno - 1]).start(4) + 1
+        if missing[pos]:
+            raise ParseError("successor %d has no record" % targets[pos], lineno, col)
+        raise ParseError("duplicate edge (%d, %d)" % (u, dst[pos]), lineno, col)
 
-    objectives = []
-    for i in range(header[1]):
-        vals = np.array([records[vid][0][i] for vid in ids], dtype=np.int64)
-        objectives.append(PriorityFunction(vals))
-    return g, objectives
+    owners = (np.frombuffer("".join(owner_f).encode("ascii"), dtype=np.uint8)
+              - ord("0")).astype(np.int8)[order]
+    names = None
+    if name_f.count(None) < n:
+        names = [name_f[r] if name_f[r] is not None else str(vids[r])
+                 for r in order.tolist()]
+    g = GameGraph(owners, off, dst, names)
+    prios = _int_array(",".join(prio_f)).reshape(n, header[1])[order]
+    return g, [PriorityFunction(np.asarray(prios[:, i], dtype=np.int64))
+               for i in range(header[1])]
 
 
 def emit_game(g: GameGraph, objectives) -> str:
@@ -195,149 +325,349 @@ def emit_game(g: GameGraph, objectives) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- template and strategy text -------------------------------------------
+# -- vertex and edge tokens ------------------------------------------------
 
 
-def _vertex_token(g: GameGraph, v: int) -> str:
-    return g.name_of(v)
+def _vertex_ids(g: GameGraph, tokens: Sequence[str]) -> np.ndarray:
+    """Vertex ids of tokens, -1 where a token names no vertex.  A token
+    is a vertex label first, else a decimal id below the vertex count."""
+    n = g.vertex_count
+    index = g.name_index()
+    if index:
+        get = index.get
+        ids = np.array([get(t, -1) for t in tokens], dtype=np.int64)
+        miss = np.flatnonzero(ids < 0)
+        rest = [tokens[i] for i in miss.tolist()]
+    else:
+        ids = np.full(len(tokens), -1, dtype=np.int64)
+        miss = slice(None)
+        rest = list(tokens)
+    if rest:
+        joined = ",".join(rest)
+        if joined.count(",") == len(rest) - 1 and _SHORT_NUMBERS.fullmatch(joined):
+            vals = np.fromstring(joined, dtype=np.int64, sep=",")
+            ids[miss] = np.where(vals < n, vals, -1)
+        else:
+            ids[miss] = [int(t) if t.isascii() and t.isdigit() and int(t) < n else -1
+                         for t in rest]
+    return ids
 
 
-def _edge_token(g: GameGraph, e: Edge) -> str:
-    return "(%s,%s)" % (_vertex_token(g, e[0]), _vertex_token(g, e[1]))
+def resolve_vertices(g: GameGraph, tokens: Sequence[str]) -> tuple[np.ndarray, int, str]:
+    """Vertex ids of tokens, the index of the first token that names no
+    vertex (-1 when all do) and the message for it."""
+    ids = _vertex_ids(g, tokens)
+    bad = np.flatnonzero(ids < 0)
+    if not bad.size:
+        return ids, -1, ""
+    i = int(bad[0])
+    return ids, i, "unknown vertex %r" % tokens[i]
 
 
-def _resolve_vertex(g: GameGraph, token: str, lineno: int, col: int) -> int:
-    if g.names is not None:
-        try:
-            return g.id_of(token)
-        except KeyError:
-            pass
-    if token.isdigit():
-        v = int(token)
-        if v < g.vertex_count:
-            return v
-    raise ParseError("unknown vertex %r" % token, lineno, col)
+def resolve_edges(g: GameGraph, us: Sequence[str], vs: Sequence[str]
+                  ) -> tuple[np.ndarray, int, str]:
+    """Edge ids of the token pairs (us[i], vs[i]), the index of the first
+    pair that is no edge (-1 when all are) and the message for it."""
+    u_ids = _vertex_ids(g, us)
+    v_ids = _vertex_ids(g, vs)
+    eids = g.edge_ids(u_ids, v_ids)
+    bad = np.flatnonzero(eids < 0)
+    if not bad.size:
+        return eids, -1, ""
+    i = int(bad[0])
+    if u_ids[i] < 0:
+        return eids, i, "unknown vertex %r" % us[i]
+    if v_ids[i] < 0:
+        return eids, i, "unknown vertex %r" % vs[i]
+    return eids, i, "no such edge (%s,%s)" % (us[i], vs[i])
 
 
 _EDGE_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
+# one edge with the blanks before it: (item, u, v)
+_EDGE_ITEM = re.compile(r"([ \t]*%s)" % _EDGE_RE.pattern)
 
 
-def _parse_edge_list(g: GameGraph, s: _Scanner) -> list[Edge]:
-    edges = []
+def _edge_list(raw: str, start: int) -> tuple[list[str], list[str]] | None:
+    """The u and v tokens of the edge list raw[start:], or None when its
+    edge items do not tile it, blanks at the end aside."""
+    items = _EDGE_ITEM.findall(raw, start)
+    if sum(map(len, map(itemgetter(0), items))) != len(raw.rstrip(" \t")) - start:
+        return None
+    return list(map(itemgetter(1), items)), list(map(itemgetter(2), items))
+
+
+def _column(pattern: re.Pattern, raw: str, start: int, index: int) -> int:
+    """Column of the index-th match of pattern in raw from start on."""
+    for i, m in enumerate(pattern.finditer(raw, start)):
+        if i == index:
+            return m.start() + 1
+    raise IndexError(index)
+
+
+def _edge_list_error(g: GameGraph, s: _Scanner) -> NoReturn:
+    """Walk an edge list its pattern rejected, resolving each edge on the
+    way."""
     while True:
         s.skip_ws()
         if s.pos == len(s.text):
-            return edges
+            _accepted(s.lineno)
         col = s.pos + 1
         m = _EDGE_RE.match(s.text, s.pos)
         if m is None:
             s.error("edge of the form (u,v)")
         s.pos = m.end()
-        u = _resolve_vertex(g, m.group(1), s.lineno, col)
-        v = _resolve_vertex(g, m.group(2), s.lineno, col)
-        if not g.has_edge(u, v):
-            raise ParseError("no such edge (%s,%s)" % (m.group(1), m.group(2)),
-                             s.lineno, col)
-        edges.append((u, v))
+        _, bad, why = resolve_edges(g, [m.group(1)], [m.group(2)])
+        if bad >= 0:
+            raise ParseError(why, s.lineno, col)
+
+
+def _name_list(g: GameGraph) -> list[str]:
+    return g.names if g.names is not None else list(map(str, range(g.vertex_count)))
+
+
+def _edge_tokens(g: GameGraph, ids: np.ndarray, names: list[str]) -> list[str]:
+    src = g.edge_sources()[ids].tolist()
+    dst = g.edge_targets[ids].tolist()
+    return ["(" + names[u] + "," + names[v] + ")" for u, v in zip(src, dst)]
+
+
+def _sorted_edges(g: GameGraph, ids: np.ndarray, group=None) -> np.ndarray:
+    """Edge ids ordered by source and target, within each group when
+    ascending group numbers are given."""
+    order = np.argsort(g.edge_sources()[ids] * g.vertex_count + g.edge_targets[ids],
+                       kind="stable")
+    if group is not None:
+        order = order[np.argsort(group[order], kind="stable")]
+    return ids[order]
+
+
+# -- template text -----------------------------------------------------------
+
+_SECTION = re.compile(r"[ \t]*([a-z-]+):")
+_REGION_BODY = re.compile(r"(?:[ \t]|[^\s()])*")
+_VERTEX_TOKEN = re.compile(r"[^\s()]+")
+_EDGE_SECTIONS = ("unsafe", "colive", "live-group")
 
 
 def template_text(t: StrategyTemplate) -> str:
     """Render a template: region vertices, unsafe and co-live edge lists,
     one live-group line per group."""
     g = t.graph
+    names = _name_list(g)
 
-    def edge_list(edges) -> str:
-        return " ".join(_edge_token(g, e) for e in sorted(edges))
+    def edge_list(mask) -> str:
+        ids = _sorted_edges(g, np.flatnonzero(mask))
+        return " ".join(_edge_tokens(g, ids, names))
 
-    lines = ["region:" + "".join(" " + _vertex_token(g, v)
-                                 for v in sorted(t.winning_region))]
-    lines.append(("unsafe: " + edge_list(t.unsafe_edges)).rstrip())
-    lines.append(("colive: " + edge_list(t.colive_edges)).rstrip())
-    for lg in t.live_groups:
-        lines.append("live-group: " + edge_list(lg.edges))
+    lines = ["region:" + "".join(" " + names[v]
+                                 for v in np.flatnonzero(t.region_mask).tolist())]
+    lines.append(("unsafe: " + edge_list(t.unsafe_mask)).rstrip())
+    lines.append(("colive: " + edge_list(t.colive_mask)).rstrip())
+    groups = t.live_groups
+    if groups:
+        sizes = np.array([len(lg) for lg in groups], dtype=np.int64)
+        ids = np.concatenate([lg.edge_ids for lg in groups])
+        group = np.repeat(np.arange(len(groups)), sizes)
+        tokens = _edge_tokens(g, _sorted_edges(g, ids, group), names)
+        off = _offsets(sizes).tolist()
+        lines.extend("live-group: " + " ".join(tokens[off[i]:off[i + 1]])
+                     for i in range(len(groups)))
     return "\n".join(lines) + "\n"
 
 
+def _template_line_error(g: GameGraph, raw: str, lineno: int, has_region: bool) -> NoReturn:
+    """The error of a template line the section patterns rejected."""
+    s = _Scanner(raw, lineno)
+    s.skip_ws()
+    head = s.take(r"[a-z-]+:", "section label")
+    label = head.group(0)[:-1]
+    if label == "region":
+        if has_region:
+            s.error("duplicate region section")
+        while True:
+            s.skip_ws()
+            if s.pos == len(s.text):
+                _accepted(lineno)
+            col = s.pos + 1
+            tok = s.take(r"[^\s()]+", "vertex").group(0)
+            _, bad, why = resolve_vertices(g, [tok])
+            if bad >= 0:
+                raise ParseError(why, lineno, col)
+    if label in _EDGE_SECTIONS:
+        _edge_list_error(g, s)
+    s.pos -= len(head.group(0))
+    s.error("unknown section %r" % label)
+
+
 def parse_template(text: str, g: GameGraph) -> StrategyTemplate:
-    region = None
-    unsafe: list[Edge] = []
-    colive: list[Edge] = []
-    groups: list[list[Edge]] = []
-    for lineno, raw in _content_lines(text):
-        s = _Scanner(raw, lineno)
-        s.skip_ws()
-        head = s.take(r"[a-z-]+:", "section label")
-        label = head.group(0)[:-1]
-        if label == "region":
-            if region is not None:
-                s.error("duplicate region section")
-            region = []
-            while True:
-                s.skip_ws()
-                if s.pos == len(s.text):
-                    break
-                col = s.pos + 1
-                tok = s.take(r"[^\s()]+", "vertex").group(0)
-                region.append(_resolve_vertex(g, tok, lineno, col))
-        elif label == "unsafe":
-            unsafe.extend(_parse_edge_list(g, s))
-        elif label == "colive":
-            colive.extend(_parse_edge_list(g, s))
-        elif label == "live-group":
-            groups.append(_parse_edge_list(g, s))
-        else:
-            s.pos -= len(head.group(0))
-            s.error("unknown section %r" % label)
+    lines, bad_char = _ascii_lines(text)
+    region = None  # (lineno, body start, tokens)
+    sections = []  # (lineno, body start, label, index of its first edge)
+    us: list[str] = []
+    vs: list[str] = []
+    rejected = None
+    for lineno, raw in enumerate(lines, 1):
+        if _skipped(raw):
+            continue
+        m = _SECTION.match(raw)
+        label = m.group(1) if m else None
+        if label == "region" and region is None and _REGION_BODY.fullmatch(raw, m.end()):
+            region = (lineno, m.end(), raw[m.end():].split())
+            continue
+        found = _edge_list(raw, m.end()) if label in _EDGE_SECTIONS else None
+        if found is None:
+            rejected = lineno
+            break
+        sections.append((lineno, m.end(), label, len(us)))
+        us.extend(found[0])
+        vs.extend(found[1])
+
+    # the first token that does not resolve, in line order
+    errors = []
+    if region is not None:
+        region_ids, bad, why = resolve_vertices(g, region[2])
+        if bad >= 0:
+            lineno, start, _ = region
+            errors.append(ParseError(why, lineno, _column(
+                _VERTEX_TOKEN, lines[lineno - 1], start, bad)))
+    eids, bad, why = resolve_edges(g, us, vs)
+    if bad >= 0:
+        firsts = [sec[3] for sec in sections]
+        lineno, start, _, first = sections[int(np.searchsorted(firsts, bad, side="right")) - 1]
+        errors.append(ParseError(why, lineno, _column(
+            _EDGE_RE, lines[lineno - 1], start, bad - first)))
+    if errors:
+        raise min(errors, key=lambda e: e.line)
+    if rejected is not None:
+        _template_line_error(g, lines[rejected - 1], rejected, region is not None)
+    if bad_char is not None:
+        raise bad_char
     if region is None:
         raise ParseError("missing region section", 1, 1)
-    return StrategyTemplate.from_edges(g, unsafe=unsafe, colive=colive,
-                                       live_groups=groups, region=region)
+
+    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
+    colive = np.zeros(g.edge_count, dtype=np.bool_)
+    groups = []
+    ends = [sec[3] for sec in sections[1:]] + [len(us)]
+    for (_, _, label, first), end in zip(sections, ends):
+        ids = eids[first:end]
+        if label == "unsafe":
+            unsafe[ids] = True
+        elif label == "colive":
+            colive[ids] = True
+        else:
+            lg = live_group(g, ids)
+            if lg is not None:
+                groups.append(lg)
+    region_mask = np.zeros(g.vertex_count, dtype=np.bool_)
+    region_mask[region_ids] = True
+    return StrategyTemplate(g, unsafe, colive, groups, region_mask)
+
+
+# -- strategy text -------------------------------------------------------------
+
+_STRATEGY_LINE = re.compile(r"[ \t]*([^\s:]+)[ \t]*:")
 
 
 def strategy_text(s: Strategy) -> str:
     """One line per vertex with moves, edges in rotation order."""
     g = s.graph
-    lines = []
-    for v in s.domain_vertices():
-        edges = " ".join(_edge_token(g, e) for e in s.allowed(int(v)))
-        lines.append("%s: %s" % (_vertex_token(g, int(v)), edges))
-    return "\n".join(lines) + "\n"
+    names = _name_list(g)
+    tokens = _edge_tokens(g, s._order, names)
+    off = s._off.tolist()
+    return "\n".join("%s: %s" % (names[v], " ".join(tokens[off[v]:off[v + 1]]))
+                     for v in s.domain_vertices().tolist()) + "\n"
+
+
+def _check_head(g: GameGraph, tok: str, v: int, seen, lineno: int, col: int) -> None:
+    """The checks on the vertex a strategy line starts with (id v, -1
+    when unknown), given the vertices of the lines before."""
+    if v < 0:
+        raise ParseError("unknown vertex %r" % tok, lineno, col)
+    if g.owner_of(v) != PLAYER0:
+        raise ParseError("vertex %r is not player-0" % tok, lineno, col)
+    if v in seen:
+        raise ParseError("duplicate line for vertex %r" % tok, lineno, col)
+
+
+def _strategy_line_error(g: GameGraph, raw: str, lineno: int, seen) -> NoReturn:
+    """Walk a strategy line its pattern rejected, making the checks a
+    line-by-line reading makes on the way."""
+    s = _Scanner(raw, lineno)
+    s.skip_ws()
+    col = s.pos + 1
+    tok = s.take(r"[^\s:]+", "vertex").group(0)
+    _check_head(g, tok, int(_vertex_ids(g, [tok])[0]), seen, lineno, col)
+    s.skip_ws()
+    s.take(r":", "':'")
+    _edge_list_error(g, s)
 
 
 def parse_strategy(text: str, g: GameGraph) -> Strategy:
-    per_vertex: dict[int, list[int]] = {}
-    for lineno, raw in _content_lines(text):
-        s = _Scanner(raw, lineno)
-        s.skip_ws()
-        col = s.pos + 1
-        tok = s.take(r"[^\s:]+", "vertex").group(0)
-        v = _resolve_vertex(g, tok, lineno, col)
-        if g.owner_of(v) != PLAYER0:
-            raise ParseError("vertex %r is not player-0" % tok, lineno, col)
-        if v in per_vertex:
-            raise ParseError("duplicate line for vertex %r" % tok, lineno, col)
-        s.skip_ws()
-        s.take(r":", "':'")
-        edges = _parse_edge_list(g, s)
-        if not edges:
-            s.error("empty move list")
-        for (u, w) in edges:
-            if u != v:
-                raise ParseError("edge (%s,%s) does not start at %s"
-                                 % (g.name_of(u), g.name_of(w), tok), lineno, col)
-        per_vertex[v] = [g.edge_id(u, w) for (u, w) in edges]
+    lines, bad_char = _ascii_lines(text)
+    rows = []  # (lineno, body start, index of its first edge)
+    heads: list[str] = []
+    us: list[str] = []
+    vs: list[str] = []
+    rejected = None
+    for lineno, raw in enumerate(lines, 1):
+        if _skipped(raw):
+            continue
+        m = _STRATEGY_LINE.match(raw)
+        found = _edge_list(raw, m.end()) if m else None
+        if found is None:
+            rejected = lineno
+            break
+        rows.append((lineno, m.end(), len(us)))
+        heads.append(m.group(1))
+        us.extend(found[0])
+        vs.extend(found[1])
+
+    vids = _vertex_ids(g, heads)
+    eids, _, _ = resolve_edges(g, us, vs)
+    counts = np.diff([r[2] for r in rows] + [len(us)]).astype(np.int64)
+    row_of = np.repeat(np.arange(len(rows)), counts)
+    dup = np.ones(len(vids), dtype=np.bool_)
+    dup[np.unique(vids, return_index=True)[1]] = False
+    bad_row = (vids < 0) | dup | (counts == 0)
+    bad_row[vids >= 0] |= g.owners[vids[vids >= 0]] != PLAYER0
+    src = g.edge_sources()
+    bad_row[row_of[(eids < 0) | (src[eids] != vids[row_of])]] = True
+    if bad_row.any():
+        _strategy_row_error(g, lines, rows, heads, us, vs, vids, eids, int(np.argmax(bad_row)))
+    if rejected is not None:
+        _strategy_line_error(g, lines[rejected - 1], rejected, set(vids.tolist()))
+    if bad_char is not None:
+        raise bad_char
 
     n = g.vertex_count
-    counts = np.zeros(n, dtype=np.int64)
-    for v, ids in per_vertex.items():
-        counts[v] = len(ids)
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    order = np.zeros(int(off[-1]), dtype=np.int64)
-    for v, ids in per_vertex.items():
-        order[off[v]:off[v + 1]] = ids
-    live = np.zeros(len(order), dtype=np.bool_)
+    per_vertex = np.zeros(n, dtype=np.int64)
+    per_vertex[vids] = counts
+    by_vertex = np.argsort(vids, kind="stable")
+    order = eids[_regroup(counts, by_vertex)]
     region = np.zeros(n, dtype=np.bool_)
-    for v in per_vertex:
-        region[v] = True
-    return Strategy(g, off, order, live, region)
+    region[vids] = True
+    return Strategy(g, _offsets(per_vertex), order,
+                    np.zeros(len(order), dtype=np.bool_), region)
+
+
+def _strategy_row_error(g, lines, rows, heads, us, vs, vids, eids, r: int) -> NoReturn:
+    """The first error of an accepted strategy line, as a line-by-line
+    reading meets it."""
+    lineno, start, first = rows[r]
+    end = rows[r + 1][2] if r + 1 < len(rows) else len(us)
+    raw = lines[lineno - 1]
+    tok, v = heads[r], int(vids[r])
+    col = _STRATEGY_LINE.match(raw).start(1) + 1
+    _check_head(g, tok, v, vids[:r], lineno, col)
+    _, bad, why = resolve_edges(g, us[first:end], vs[first:end])
+    if bad >= 0:
+        raise ParseError(why, lineno, _column(_EDGE_RE, raw, start, bad))
+    if end == first:
+        raise ParseError("empty move list", lineno, len(raw) + 1)
+    for e in eids[first:end].tolist():
+        u, w = g.edge_of(e)
+        if u != v:
+            raise ParseError("edge (%s,%s) does not start at %s"
+                             % (g.name_of(u), g.name_of(w), tok), lineno, col)
+    _accepted(lineno)

@@ -48,7 +48,7 @@ class GameGraph:
 
     __slots__ = (
         "_owner", "_succ_off", "_succ_dst", "_names",
-        "_pred_off", "_pred_src", "_edge_src", "_edge_pos", "_name_index",
+        "_pred_off", "_pred_src", "_edge_src", "_edge_keys", "_name_index",
     )
 
     def __init__(self, owner: np.ndarray, succ_off: np.ndarray,
@@ -63,7 +63,7 @@ class GameGraph:
         self._pred_off = None
         self._pred_src = None
         self._edge_src = None
-        self._edge_pos = None
+        self._edge_keys = None
         self._name_index = None
 
     # -- construction ----------------------------------------------------
@@ -124,15 +124,20 @@ class GameGraph:
             return self._names[v]
         return str(v)
 
-    def id_of(self, name: str) -> int:
-        """Vertex id for a label.  Raises KeyError for unknown labels."""
+    def name_index(self) -> dict[str, int]:
+        """Label -> vertex id (the first vertex with that label); empty
+        for an unnamed graph.  Built once and cached."""
         if self._name_index is None:
             index: dict[str, int] = {}
             if self._names is not None:
                 for i, nm in enumerate(self._names):
                     index.setdefault(nm, i)
             self._name_index = index
-        return self._name_index[name]
+        return self._name_index
+
+    def id_of(self, name: str) -> int:
+        """Vertex id for a label.  Raises KeyError for unknown labels."""
+        return self.name_index()[name]
 
     # -- edge addressing ---------------------------------------------------
 
@@ -157,22 +162,40 @@ class GameGraph:
         """Half-open range of internal edge ids whose source is v."""
         return int(self._succ_off[v]), int(self._succ_off[v + 1])
 
+    def edge_ids(self, us, vs) -> np.ndarray:
+        """Internal ids of the edges (us[i], vs[i]); -1 where there is no
+        such edge.
+
+        Looks the keys src*n+dst up in their sorted order, which is
+        built once and cached.
+        """
+        n = self.vertex_count
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        if self._edge_keys is None:
+            keys = self.edge_sources() * n + self._succ_dst
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            keys.setflags(write=False)
+            order.setflags(write=False)
+            self._edge_keys = (keys, order)
+        keys, order = self._edge_keys
+        if keys.size == 0:
+            return np.full(us.shape, -1, dtype=np.int64)
+        q = us * n + vs
+        pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+        hit = (keys[pos] == q) & (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
+        return np.where(hit, order[pos], -1)
+
     def edge_id(self, u: int, v: int) -> int:
         """Internal id of edge (u, v).  Raises KeyError if absent."""
-        if self._edge_pos is None:
-            src = self.edge_sources()
-            self._edge_pos = {
-                (int(s), int(t)): i
-                for i, (s, t) in enumerate(zip(src, self._succ_dst))
-            }
-        return self._edge_pos[(u, v)]
+        eid = int(self.edge_ids([u], [v])[0])
+        if eid < 0:
+            raise KeyError((u, v))
+        return eid
 
     def has_edge(self, u: int, v: int) -> bool:
-        try:
-            self.edge_id(u, v)
-            return True
-        except KeyError:
-            return False
+        return bool(self.edge_ids([u], [v])[0] >= 0)
 
     def edge_of(self, eid: int) -> Edge:
         return (int(self.edge_sources()[eid]), int(self._succ_dst[eid]))

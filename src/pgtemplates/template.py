@@ -20,30 +20,44 @@ compose module).
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graph import Edge, GameGraph, PLAYER0
 
 
-def _edge_ids(g: GameGraph, edges: Iterable[Edge]) -> np.ndarray:
-    ids = sorted(g.edge_id(u, v) for (u, v) in edges)
-    return np.array(ids, dtype=np.int64)
+def _edge_ids(g: GameGraph, edges) -> np.ndarray:
+    """Edge ids from (u, v) pairs, or an integer id array as it is.
+    Raises KeyError for a pair that is no edge."""
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
+        return edges.astype(np.int64, copy=False)
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    ids = g.edge_ids(pairs[:, 0], pairs[:, 1])
+    missing = np.flatnonzero(ids < 0)
+    if missing.size:
+        u, v = pairs[missing[0]]
+        raise KeyError((int(u), int(v)))
+    return ids
 
 
 def _edge_mask(g: GameGraph, edges) -> np.ndarray:
     """Boolean mask over edge ids from pairs, ids, or an existing mask."""
-    if isinstance(edges, np.ndarray) and edges.dtype == np.bool_:
-        if len(edges) != g.edge_count:
-            raise ValueError("edge mask length does not match edge count")
-        return edges.copy()
+    if isinstance(edges, np.ndarray):
+        if edges.dtype == np.bool_:
+            if len(edges) != g.edge_count:
+                raise ValueError("edge mask length does not match edge count")
+            return edges.copy()
+        ids = _edge_ids(g, edges)
+    else:
+        items = list(edges)
+        pairs = [e for e in items if isinstance(e, tuple)]
+        ids = np.array([int(e) for e in items if not isinstance(e, tuple)],
+                       dtype=np.int64)
+        if pairs:
+            ids = np.concatenate([ids, _edge_ids(g, pairs)])
     mask = np.zeros(g.edge_count, dtype=np.bool_)
-    for e in edges:
-        if isinstance(e, tuple):
-            mask[g.edge_id(*e)] = True
-        else:
-            mask[int(e)] = True
+    mask[ids] = True
     return mask
 
 
@@ -105,15 +119,14 @@ class LiveGroup:
         return "LiveGroup(%s)" % (sorted(self.edges),)
 
 
-def live_group(g: GameGraph, edges: Iterable[Edge]) -> LiveGroup | None:
-    """Build a live-group from edge pairs, dropping player-1-sourced
-    edges; returns None when nothing remains."""
-    src = g.edge_sources()
-    ids = [g.edge_id(u, v) for (u, v) in edges]
-    kept = [e for e in ids if g.owners[src[e]] == PLAYER0]
-    if not kept:
+def live_group(g: GameGraph, edges) -> LiveGroup | None:
+    """Build a live-group from edge pairs (or edge ids), dropping
+    player-1-sourced edges; returns None when nothing remains."""
+    ids = _edge_ids(g, edges)
+    kept = ids[g.owners[g.edge_sources()[ids]] == PLAYER0]
+    if not kept.size:
         return None
-    return LiveGroup(g, np.array(kept, dtype=np.int64))
+    return LiveGroup(g, kept)
 
 
 class StrategyTemplate:

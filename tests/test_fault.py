@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import (FaultModel, OnlineStrategy, OnlineStrategyError,
+from pgtemplates import (FaultModel, GameGraph, OnlineStrategy, OnlineStrategyError,
                          PriorityFunction, StrategyTemplate, conjoin,
                          delete_edges, extract_strategy, fault_correction,
                          find_conflicts, gaf_tolerant, online_strategy,
@@ -113,6 +113,15 @@ def test_gaf_tolerant_goldens(g6):
         g6, psi13(g6), edges(g6, ("a", "a"), ("a", "c"), ("a", "d")))
     assert not ok
     assert names_of(g6, offending) == ["a"]
+
+
+def test_gaf_tolerant_ignores_edges_leaving_the_region():
+    # vertex 0 keeps only (0,1), which leaves the region {0}: no usable edge
+    g = GameGraph.from_lists([0, 1], [[0, 1], [1]])
+    t = StrategyTemplate.from_edges(g, region={0})
+    assert gaf_tolerant(g, t, [(0, 0)]) == (False, frozenset({0}))
+    with pytest.raises(ValueError, match="stuck at vertices"):
+        online_strategy(g, t, [(0, 0)])
 
 
 @settings(deadline=None, max_examples=40)

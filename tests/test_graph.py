@@ -76,6 +76,16 @@ def test_edge_ids_are_grouped_by_source(g6):
         assert g6.edge_id(u, v) == e
 
 
+def test_edge_ids_resolves_pairs_in_bulk(g6):
+    src, dst = g6.edge_sources(), g6.edge_targets
+    assert list(g6.edge_ids(src[::-1], dst[::-1])) == list(range(g6.edge_count))[::-1]
+    f, a = g6.id_of("f"), g6.id_of("a")
+    # absent, negative and out-of-range ids all give -1
+    assert list(g6.edge_ids([f, -1, a, 6, a], [a, a, -1, 0, 6])) == [-1] * 5
+    with pytest.raises(KeyError):
+        g6.edge_id(f, a)
+
+
 def test_pred_csr_inverts_successors(g6):
     poff, pdst = g6.pred_csr()
     preds = {v: sorted(int(u) for u in pdst[poff[v]:poff[v + 1]])
