@@ -80,15 +80,28 @@ _INT64_MAX = np.iinfo(np.int64).max
 _SHORT_NUMBERS = re.compile(r"[0-9]{1,18}(?:,[0-9]{1,18})*")
 
 
-def _ascii_lines(text: str) -> tuple[list[str], ParseError | None]:
-    """The lines before the first one holding a non-ASCII character, and
+def _ascii_prefix(text: str) -> tuple[str, ParseError | None]:
+    """The text before the first line holding a non-ASCII character, and
     the error for that character (None when the whole text is ASCII)."""
     if text.isascii():
-        return text.split("\n"), None
+        return text, None
     i = _NON_ASCII.search(text).start()
     start = text.rfind("\n", 0, i) + 1
-    lines = text[:start].split("\n")[:-1]
-    return lines, ParseError("non-ASCII character", len(lines) + 1, i - start + 1)
+    return text[:start], ParseError("non-ASCII character",
+                                    text.count("\n", 0, i) + 1, i - start + 1)
+
+
+def _lines(text: str):
+    """The lines of text, one at a time, without a list of them all."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+def _line(text: str, lineno: int) -> str:
+    return text.split("\n")[lineno - 1]
 
 
 def _skipped(raw: str) -> bool:
@@ -228,7 +241,8 @@ def _check_records(lines, linenos, vids, prio_fields, max_id: int, k: int) -> No
 
 def parse_game(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
     """Parse a parity/genparity file into a graph and its objectives."""
-    lines, bad_char = _ascii_lines(text)
+    body, bad_char = _ascii_prefix(text)
+    lines = body.split("\n")
     # id, priorities, owner, successors and name of every record line
     fields = [m.groups() if m else None for m in map(_RECORD.fullmatch, lines)]
     is_record = np.fromiter(map(bool, fields), dtype=np.bool_, count=len(lines))
@@ -500,13 +514,13 @@ def _template_line_error(g: GameGraph, raw: str, lineno: int, has_region: bool) 
 
 
 def parse_template(text: str, g: GameGraph) -> StrategyTemplate:
-    lines, bad_char = _ascii_lines(text)
+    body, bad_char = _ascii_prefix(text)
     region = None  # (lineno, body start, tokens)
     sections = []  # (lineno, body start, label, index of its first edge)
     us: list[str] = []
     vs: list[str] = []
     rejected = None
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(_lines(body), 1):
         if _skipped(raw):
             continue
         m = _SECTION.match(raw)
@@ -529,17 +543,17 @@ def parse_template(text: str, g: GameGraph) -> StrategyTemplate:
         if bad >= 0:
             lineno, start, _ = region
             errors.append(ParseError(why, lineno, _column(
-                _VERTEX_TOKEN, lines[lineno - 1], start, bad)))
+                _VERTEX_TOKEN, _line(text, lineno), start, bad)))
     eids, bad, why = resolve_edges(g, us, vs)
     if bad >= 0:
         firsts = [sec[3] for sec in sections]
         lineno, start, _, first = sections[int(np.searchsorted(firsts, bad, side="right")) - 1]
         errors.append(ParseError(why, lineno, _column(
-            _EDGE_RE, lines[lineno - 1], start, bad - first)))
+            _EDGE_RE, _line(text, lineno), start, bad - first)))
     if errors:
         raise min(errors, key=lambda e: e.line)
     if rejected is not None:
-        _template_line_error(g, lines[rejected - 1], rejected, region is not None)
+        _template_line_error(g, _line(text, rejected), rejected, region is not None)
     if bad_char is not None:
         raise bad_char
     if region is None:
@@ -604,13 +618,13 @@ def _strategy_line_error(g: GameGraph, raw: str, lineno: int, seen) -> NoReturn:
 
 
 def parse_strategy(text: str, g: GameGraph) -> Strategy:
-    lines, bad_char = _ascii_lines(text)
+    body, bad_char = _ascii_prefix(text)
     rows = []  # (lineno, body start, index of its first edge)
     heads: list[str] = []
     us: list[str] = []
     vs: list[str] = []
     rejected = None
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(_lines(body), 1):
         if _skipped(raw):
             continue
         m = _STRATEGY_LINE.match(raw)
@@ -634,9 +648,9 @@ def parse_strategy(text: str, g: GameGraph) -> Strategy:
     src = g.edge_sources()
     bad_row[row_of[(eids < 0) | (src[eids] != vids[row_of])]] = True
     if bad_row.any():
-        _strategy_row_error(g, lines, rows, heads, us, vs, vids, eids, int(np.argmax(bad_row)))
+        _strategy_row_error(g, text, rows, heads, us, vs, vids, eids, int(np.argmax(bad_row)))
     if rejected is not None:
-        _strategy_line_error(g, lines[rejected - 1], rejected, set(vids.tolist()))
+        _strategy_line_error(g, _line(text, rejected), rejected, set(vids.tolist()))
     if bad_char is not None:
         raise bad_char
 
@@ -651,12 +665,12 @@ def parse_strategy(text: str, g: GameGraph) -> Strategy:
                     np.zeros(len(order), dtype=np.bool_), region)
 
 
-def _strategy_row_error(g, lines, rows, heads, us, vs, vids, eids, r: int) -> NoReturn:
+def _strategy_row_error(g, text, rows, heads, us, vs, vids, eids, r: int) -> NoReturn:
     """The first error of an accepted strategy line, as a line-by-line
     reading meets it."""
     lineno, start, first = rows[r]
     end = rows[r + 1][2] if r + 1 < len(rows) else len(us)
-    raw = lines[lineno - 1]
+    raw = _line(text, lineno)
     tok, v = heads[r], int(vids[r])
     col = _STRATEGY_LINE.match(raw).start(1) + 1
     _check_head(g, tok, v, vids[:r], lineno, col)
