@@ -150,6 +150,26 @@ def reach_template(g: GameGraph, goal,
     return groups
 
 
+def _reach_exits(g: GameGraph, goal: np.ndarray, universe: np.ndarray,
+                 groups: list[LiveGroup], outer: np.ndarray) -> np.ndarray:
+    """Edge ids that must be co-live for reach_template's groups to stay
+    sound when plays may also move in ``outer`` (a superset of the
+    universe).
+
+    A player-0 vertex that the closure dragged in (neither goal nor the
+    source of a live-group) makes progress only through its edges inside
+    the universe; its edges into the rest of ``outer`` must be taken
+    finitely often, or a play could leave the universe and come back
+    forever without progress.
+    """
+    src = g.edge_sources()
+    dragged = universe & ~goal & (g.owners == PLAYER0)
+    for lg in groups:
+        dragged[src[lg.edge_ids]] = False
+    return np.flatnonzero(dragged[src] & outer[g.edge_targets]
+                          & ~universe[g.edge_targets])
+
+
 def safety_template(g: GameGraph, safe) -> SolveResult:
     """Template for staying in the safe set: forbid the region-leaving
     edges.  The unsafe set is exact, every winning positional strategy
@@ -243,7 +263,9 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
             return nothing, universe.copy(), [], []
         b = attr_mask(g, w0, PLAYER0, universe)
         colive.append(_crossing_edges(g, w0, universe & ~w0))
-        groups.extend(reach_template(g, w0, universe=b))
+        reach = reach_template(g, w0, universe=b)
+        colive.append(_reach_exits(g, w0, b, reach, universe))
+        groups.extend(reach)
         w0p, w1p, groups2, colive2 = yield (universe & ~b)
         return w0p | b, w1p, groups + groups2, colive + colive2
 
@@ -253,7 +275,9 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
         return universe.copy(), nothing, reach_template(g, p_d, universe=universe), []
     w0, w1, groups, colive = yield rest
     if not w1.any():
-        groups.extend(reach_template(g, p_d, universe=a))
+        reach = reach_template(g, p_d, universe=a)
+        colive.append(_reach_exits(g, p_d, a, reach, universe))
+        groups.extend(reach)
         return universe.copy(), nothing, groups, colive
     b = attr_mask(g, w1, PLAYER1, universe)
     # templates from the first sub-solve cover vertices that player 1

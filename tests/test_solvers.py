@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pgtemplates import (GeneratorConfig, buchi_template, buchi_win,
@@ -153,6 +153,12 @@ def test_parity_regions_match_oracle(seed):
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 10_000))
+# games where a player-0 vertex of an attractor could leave it and be
+# brought back forever without progress
+@example(seed=7)
+@example(seed=232)
+@example(seed=4203)
+@example(seed=9179)
 def test_compliant_samples_stay_winning(seed):
     g, pf = rand_game(seed, 10, 4)
     result = parity_template(g, pf)
