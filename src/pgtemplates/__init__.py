@@ -17,18 +17,16 @@ from .fault import (CSV_HEADER, FaultModel, FaultStats, OnlineStrategy,
 from .gameio import (ParseError, emit_game, parse_game, parse_strategy,
                      parse_template, strategy_text, template_text)
 from .generator import GeneratorConfig, generate
-from .graph import (DeadEndError, Edge, GameGraph, GraphBuilder,
-                    GraphBuildError, PLAYER0, PLAYER1, PriorityFunction,
-                    edges_between, restrict)
+from .graph import (Edge, GameGraph, GraphBuilder, GraphBuildError, PLAYER0,
+                    PLAYER1, PriorityFunction)
 from .oracle import (OracleRegions, OracleSizeError,
                      brute_force_gen_parity_region,
                      enumerate_winning_positional, zielonka_regions)
 from .solvers import (SolveResult, buchi_template, buchi_win,
                       cobuchi_template, cobuchi_win, parity_template,
                       reach_template, safety_template, safety_win)
-from .strategy import (Lasso, ProductLimitError, Strategy,
-                       StrategyDomainError, Verdict, extract_strategy,
-                       verify_strategy)
+from .strategy import (Lasso, Strategy, StrategyDomainError, Verdict,
+                       extract_strategy, verify_strategy)
 from .template import (ConflictError, ConflictReport, LiveGroup,
                        StrategyTemplate, conjoin, find_conflicts, live_group)
 from .transformers import attr, cpre, uattr, upre
@@ -37,8 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PLAYER0", "PLAYER1", "Edge",
-    "GameGraph", "GraphBuilder", "GraphBuildError", "DeadEndError",
-    "PriorityFunction", "restrict", "edges_between",
+    "GameGraph", "GraphBuilder", "GraphBuildError", "PriorityFunction",
     "upre", "cpre", "attr", "uattr",
     "LiveGroup", "live_group", "StrategyTemplate", "ConflictError",
     "ConflictReport", "find_conflicts", "conjoin",
@@ -48,7 +45,7 @@ __all__ = [
     "ComposeState", "compose_templates", "add_objective", "pad_to_odd",
     "relabel",
     "Strategy", "StrategyDomainError", "extract_strategy",
-    "Lasso", "Verdict", "ProductLimitError", "verify_strategy",
+    "Lasso", "Verdict", "verify_strategy",
     "OracleRegions", "OracleSizeError", "zielonka_regions",
     "brute_force_gen_parity_region", "enumerate_winning_positional",
     "FaultModel", "FaultStats", "OnlineStrategy", "OnlineStrategyError",

@@ -9,7 +9,7 @@ visited only finitely often by raising their priority to the top odd
 value in every objective, and everything is re-solved on the shrunken
 region.  The loop terminates because (region size, region vertices not
 yet top-odd, summed over the objectives) decreases lexicographically
-between re-solve rounds; that is asserted at runtime.
+between re-solve rounds; that is checked at runtime (RuntimeError).
 
 The procedure is sound but deliberately not complete: re-solving after
 a conflict may give up vertices a cleverer coordination could keep.
@@ -116,8 +116,8 @@ def compose_templates(
     unsafe[_crossing_edges(g, state.w0_mask, ~state.w0_mask)] = True
     template = StrategyTemplate(g, unsafe, state.colive_mask,
                                 list(state.live_groups), state.w0_mask)
-    assert find_conflicts(g, template).is_conflict_free, \
-        "composition returned a conflicted template"
+    if not find_conflicts(g, template).is_conflict_free:
+        raise RuntimeError("composition returned a conflicted template")
     return state, template
 
 
@@ -149,8 +149,9 @@ def _fold_objective(g: GameGraph, state: ComposeState,
         conflict = g.mask_of(report.all_vertices)
         objs = [relabel(pf, conflict) for pf in objs]
         measure = _measure(new_w0, objs)
-        assert prev is None or measure < prev, \
-            "composition measure failed to decrease: %s -> %s" % (prev, measure)
+        if prev is not None and not measure < prev:
+            raise RuntimeError("composition measure failed to decrease: %s -> %s"
+                               % (prev, measure))
         prev = measure
         w0 = new_w0
         groups = []

@@ -23,7 +23,7 @@ import numpy as np
 
 from .graph import Edge, GameGraph, PLAYER0, PriorityFunction
 from .solvers import parity_template
-from .strategy import StrategyDomainError
+from .strategy import StrategyDomainError, _rotation
 from .template import StrategyTemplate, _edge_mask, find_conflicts
 
 CSV_HEADER = "faultFraction,trials,conflictRate,meanConflictVertexFraction"
@@ -45,31 +45,15 @@ def _fault_mask(g: GameGraph, faulty) -> np.ndarray:
 
 
 class FaultModel:
-    """A set of fallible player-0 edges, optionally with an availability
-    trace: one edge set per time step, the first being the full edge
-    set.  The faulty set must be exactly what the trace ever drops."""
+    """A validated set of fallible player-0 edges; fault_correction and
+    gaf_tolerant accept it in place of an edge collection."""
 
-    __slots__ = ("graph", "faulty", "trace")
+    __slots__ = ("graph", "faulty")
 
-    def __init__(self, g: GameGraph, faulty: Iterable[Edge],
-                 trace: Sequence[Iterable[Edge]] | None = None):
+    def __init__(self, g: GameGraph, faulty: Iterable[Edge]):
         mask = _fault_mask(g, faulty)
         self.graph = g
         self.faulty = frozenset(g.edge_of(int(e)) for e in np.flatnonzero(mask))
-        if trace is None:
-            self.trace = None
-            return
-        all_edges = frozenset(g.edges())
-        steps = tuple(frozenset(step) for step in trace)
-        if not steps or steps[0] != all_edges:
-            raise ValueError("availability trace must start with the full edge set")
-        for step in steps:
-            if not step <= all_edges:
-                raise ValueError("availability trace mentions unknown edges")
-        dropped = frozenset().union(*(all_edges - step for step in steps))
-        if dropped != self.faulty:
-            raise ValueError("faulty set must be exactly the edges the trace drops")
-        self.trace = steps
 
 
 def delete_edges(g: GameGraph, priorities: PriorityFunction,
@@ -128,15 +112,6 @@ def fault_correction(g: GameGraph, priorities: PriorityFunction,
     return parity_template(g2, p2).template
 
 
-def _allowed_mask(g: GameGraph, t: StrategyTemplate) -> np.ndarray:
-    """Player-0 edges inside the region that are neither unsafe nor
-    co-live: the edges an online strategy may play."""
-    src = g.edge_sources()
-    region = t.region_mask
-    return (region[src] & region[g.edge_targets] & ~t.banned_mask()
-            & (g.owners[src] == PLAYER0))
-
-
 def gaf_tolerant(g: GameGraph, t: StrategyTemplate,
                  faulty) -> tuple[bool, frozenset[int]]:
     """Sufficient condition for surviving intermittent faults: every
@@ -145,7 +120,7 @@ def gaf_tolerant(g: GameGraph, t: StrategyTemplate,
     vertices)."""
     if isinstance(faulty, FaultModel):
         faulty = faulty.faulty
-    usable = _allowed_mask(g, t) & ~_fault_mask(g, faulty)
+    usable = t.allowed_mask() & ~_fault_mask(g, faulty)
     free = np.bincount(g.edge_sources()[usable], minlength=g.vertex_count)
     offending = np.flatnonzero(t.region_mask & (g.owners == PLAYER0) & (free == 0))
     return offending.size == 0, frozenset(int(v) for v in offending)
@@ -169,18 +144,8 @@ class OnlineStrategy:
             raise ValueError(
                 "template cannot tolerate these faults; stuck at vertices %s"
                 % sorted(offending))
-        src = g.edge_sources()
-        allowed = _allowed_mask(g, t)
-        live_edge = np.zeros(g.edge_count, dtype=np.bool_)
-        for lg in t.live_groups:
-            live_edge[lg.edge_ids] = True
-        ids = np.flatnonzero(allowed)
-        not_live = (~live_edge[ids]).astype(np.int8)
-        order = ids[np.lexsort((ids, not_live, src[ids]))]
-        counts = np.bincount(src[ids], minlength=g.vertex_count)
-        off = np.zeros(g.vertex_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=off[1:])
-        nlive = np.bincount(src[ids[live_edge[ids]]], minlength=g.vertex_count)
+        off, order, live = _rotation(g, t)
+        nlive = np.bincount(g.edge_sources()[order[live]], minlength=g.vertex_count)
         self.graph = g
         self.template = t
         self._off = off

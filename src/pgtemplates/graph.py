@@ -13,7 +13,7 @@ in the flat array.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,21 +26,6 @@ PLAYER1 = 1
 
 class GraphBuildError(ValueError):
     """Raised when a graph under construction violates a model invariant."""
-
-
-class DeadEndError(ValueError):
-    """A restriction would leave vertices without any successor.
-
-    Carries the offending vertex ids (in the ids of the graph being
-    restricted).  Callers that genuinely want dead ends must repair
-    them explicitly before building a graph.
-    """
-
-    def __init__(self, vertices: Iterable[int]):
-        self.vertices = tuple(sorted(vertices))
-        super().__init__(
-            "restriction leaves vertices without successors: %s" % (self.vertices,)
-        )
 
 
 class GameGraph:
@@ -367,48 +352,3 @@ class PriorityFunction:
     def __repr__(self) -> str:
         return "PriorityFunction(%s, max_priority=%d)" % (
             self._values.tolist(), self._max)
-
-
-def restrict(g: GameGraph, keep) -> tuple[GameGraph, np.ndarray]:
-    """Subgraph induced by the kept vertices, with an id mapping.
-
-    Returns (subgraph, old_ids) where old_ids[new_id] gives the vertex's
-    id in g.  Raises DeadEndError when a kept vertex would lose all of
-    its successors; plays must never get stuck, so callers that want to
-    keep such vertices have to repair them explicitly.
-    """
-    keep_mask = g.mask_of(keep)
-    old_ids = np.flatnonzero(keep_mask)
-    if old_ids.size == 0:
-        raise DeadEndError([])
-    new_id = np.full(g.vertex_count, -1, dtype=np.int64)
-    new_id[old_ids] = np.arange(old_ids.size)
-
-    src = g.edge_sources()
-    dst = g.edge_targets
-    edge_keep = keep_mask[src] & keep_mask[dst]
-    degrees = np.bincount(src[edge_keep], minlength=g.vertex_count)[old_ids]
-    dead = old_ids[degrees == 0]
-    if dead.size:
-        raise DeadEndError(int(v) for v in dead)
-
-    off = np.zeros(old_ids.size + 1, dtype=np.int64)
-    np.cumsum(degrees, out=off[1:])
-    # edge order within a source is preserved because edge ids are grouped
-    # by source and ascending
-    sub_dst = new_id[dst[edge_keep]]
-    names = None
-    if g.names is not None:
-        names = [g.names[int(v)] for v in old_ids]
-    sub = GameGraph(g.owners[old_ids], off, sub_dst, names)
-    return sub, old_ids
-
-
-def edges_between(g: GameGraph, xs, ys) -> list[Edge]:
-    """All edges (u, v) of g with u in xs and v in ys, sorted."""
-    x_mask = g.mask_of(xs)
-    y_mask = g.mask_of(ys)
-    src = g.edge_sources()
-    dst = g.edge_targets
-    hit = np.flatnonzero(x_mask[src] & y_mask[dst])
-    return sorted((int(src[e]), int(dst[e])) for e in hit)

@@ -11,6 +11,11 @@ strategies suffice.  With player 1 fixed, player 0 wins from v iff it
 can reach a vertex subset it can cycle through forever whose maxima
 are even for every objective; any strongly connected subgraph can be
 traversed so that all its vertices recur.
+
+The exact strategy verdict unrolls an extracted strategy into its
+(vertex, cursor vector) product and solves that with Zielonka; it is
+exponential in the strategy's domain and checks the limit analysis of
+strategy.verify_strategy on small games.
 """
 from __future__ import annotations
 
@@ -20,11 +25,17 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .graph import GameGraph, PLAYER0, PLAYER1, PriorityFunction
+from .strategy import (Lasso, Strategy, StrategyDomainError, Verdict,
+                       _checked_args)
 from .transformers import attr_mask
 
 
 class OracleSizeError(ValueError):
     """The instance is too large for brute-force checking."""
+
+
+class ProductLimitError(RuntimeError):
+    """The reachable strategy product exceeded the state limit."""
 
 
 class OracleRegions(NamedTuple):
@@ -206,3 +217,150 @@ def enumerate_winning_positional(
         if np.all(wins[w0]):
             winning.add(frozenset((v, sigma[v]) for v in p0 if w0[v]))
     return w0, frozenset(winning)
+
+
+def _build_product(g: GameGraph, s: Strategy, start: Sequence[int],
+                   state_limit: int):
+    """Reachable (vertex, cursor vector) product under the strategy.
+
+    Returns (states, succs, initial) where states[i] = (v, cursors),
+    succs[i] lists successor state indices, and initial maps each start
+    vertex to its state index.
+    """
+    dom = [int(v) for v in s.domain_vertices()]
+    dom_index = {v: i for i, v in enumerate(dom)}
+    base = s.cursor_state()
+    dst = g.edge_targets
+
+    states: list[tuple[int, tuple[int, ...]]] = []
+    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    succs: list[list[int]] = []
+
+    def intern(v: int, cursors: tuple[int, ...]) -> int:
+        key = (v, cursors)
+        got = index.get(key)
+        if got is not None:
+            return got
+        if len(states) >= state_limit:
+            raise ProductLimitError(
+                "strategy product exceeded %d states" % state_limit)
+        index[key] = len(states)
+        states.append(key)
+        succs.append([])
+        return index[key]
+
+    initial = {int(v): intern(int(v), base) for v in start}
+    frontier = list(initial.values())
+    seen_expanded = set()
+    while frontier:
+        i = frontier.pop()
+        if i in seen_expanded:
+            continue
+        seen_expanded.add(i)
+        v, cursors = states[i]
+        if g.owner_of(v) == PLAYER0:
+            ids = s.allowed_ids(v)
+            if ids.size == 0:
+                raise StrategyDomainError(
+                    "reachable player-0 vertex %s has no move" % g.name_of(v))
+            k = cursors[dom_index[v]] % ids.size
+            target = int(dst[ids[k]])
+            nxt = list(cursors)
+            nxt[dom_index[v]] = (k + 1) % ids.size
+            j = intern(target, tuple(nxt))
+            succs[i].append(j)
+            frontier.append(j)
+        else:
+            for t_ in g.successors(v):
+                j = intern(int(t_), cursors)
+                succs[i].append(j)
+                frontier.append(j)
+    return states, succs, initial
+
+
+def _find_odd_lasso(states, succs, init: int, prios: list[int]) -> Lasso:
+    """A reachable cycle whose maximal priority is odd, as a lasso."""
+    # BFS tree from the initial state
+    parent = {init: -1}
+    queue = [init]
+    order = []
+    while queue:
+        i = queue.pop(0)
+        order.append(i)
+        for j in succs[i]:
+            if j not in parent:
+                parent[j] = i
+                queue.append(j)
+
+    def path_to(i: int) -> list[int]:
+        out = []
+        while i != -1:
+            out.append(i)
+            i = parent[i]
+        return out[::-1]
+
+    for pivot in order:
+        p = prios[pivot]
+        if p % 2 == 0:
+            continue
+        # cycle through pivot using only states of priority <= p
+        seen = {pivot: -1}
+        q = [pivot]
+        hit = None
+        while q and hit is None:
+            i = q.pop(0)
+            for j in succs[i]:
+                if prios[j] > p:
+                    continue
+                if j == pivot:
+                    hit = i
+                    break
+                if j not in seen:
+                    seen[j] = i
+                    q.append(j)
+        if hit is None:
+            continue
+        back = []
+        i = hit
+        while i != -1:
+            back.append(i)
+            i = seen[i]
+        cycle = back[::-1]  # pivot ... hit
+        prefix = path_to(pivot)[:-1]
+        return Lasso(tuple(states[i][0] for i in prefix),
+                     tuple(states[i][0] for i in cycle))
+    raise AssertionError("losing verdict without an odd reachable cycle")
+
+
+def _exact_verdict(g: GameGraph, s: Strategy, objectives,
+                   start=None, state_limit: int = 100_000) -> Verdict:
+    """verify_strategy by brute force on the (vertex, cursor vector)
+    product.  Exponential in the domain size; only for small instances
+    and for cross-checking the limit analysis.
+    """
+    objectives, start_ids = _checked_args(g, s, objectives, start)
+    states, succs, initial = _build_product(g, s, start_ids, state_limit)
+    product = GameGraph.from_lists([1] * len(states),
+                                   [sorted(set(js)) for js in succs])
+    win_all = np.ones(len(states), dtype=np.bool_)
+    per_objective = []
+    for pf in objectives:
+        prod_pf = PriorityFunction([pf.of(v) for v, _ in states],
+                                   max_priority=pf.max_priority)
+        w0 = zielonka_regions(product, prod_pf).w0_mask
+        per_objective.append((prod_pf, w0))
+        win_all &= w0
+
+    winning = frozenset(v for v in start_ids if win_all[initial[v]])
+    counterexample = None
+    for v in start_ids:
+        if v in winning:
+            continue
+        for prod_pf, w0 in per_objective:
+            if not w0[initial[v]]:
+                counterexample = _find_odd_lasso(
+                    states, succs, initial[v],
+                    [prod_pf.of(i) for i in range(len(states))])
+                break
+        break
+    return Verdict(frozenset(start_ids), winning, counterexample)

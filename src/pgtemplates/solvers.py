@@ -52,14 +52,13 @@ def _crossing_edges(g: GameGraph, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Edge ids from xs into ys, player-0-sourced.
 
     On every solver path the source region is a trap for player 1, so
-    dropping player-1 sources changes nothing; the assert documents
-    that.
+    no crossing edge has a player-1 source; RuntimeError if one does.
     """
     src = g.edge_sources()
     ids = np.flatnonzero(xs[src] & ys[g.edge_targets])
-    p0 = g.owners[src[ids]] == PLAYER0
-    assert bool(np.all(p0)), "player-1 edge escapes a region that should trap it"
-    return ids[p0]
+    if not np.all(g.owners[src[ids]] == PLAYER0):
+        raise RuntimeError("player-1 edge escapes a region that should trap it")
+    return ids
 
 
 def _full(g: GameGraph) -> np.ndarray:
@@ -224,7 +223,8 @@ def cobuchi_template(g: GameGraph, goal) -> SolveResult:
     remaining = w0.copy()
     while remaining.any():
         core = _safety_region(g, goal_mask & remaining, PLAYER0, remaining)
-        assert core.any(), "co-Büchi region without a safety core"
+        if not core.any():
+            raise RuntimeError("co-Büchi region without a safety core")
         mark(core, remaining & ~core)
         cur = core.copy()
         while True:

@@ -23,9 +23,10 @@ A "not winning" verdict comes with a lasso over allowed edges.  The
 lasso always witnesses a violation by some strategy that obeys the same
 edge constraints; the exact rotation order could dodge a particular
 lasso only by never reaching it, which cannot happen when the template
-behind the strategy is sound.  The exact cursor product is still
-available (``_exact_verdict``) for small diagnostics and for asserting
-rotation fairness on the product.
+behind the strategy is sound.  The exact cursor product, exponential
+in the domain size, is reference code and lives in the oracle module
+(``oracle._exact_verdict``), which the tests compare this verifier
+against.
 """
 from __future__ import annotations
 
@@ -35,16 +36,11 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Edge, GameGraph, PLAYER0, PriorityFunction
-from .oracle import zielonka_regions
 from .template import ConflictError, StrategyTemplate, find_conflicts
 
 
 class StrategyDomainError(ValueError):
     """A reachable player-0 vertex has no move under the strategy."""
-
-
-class ProductLimitError(RuntimeError):
-    """The reachable strategy product exceeded the state limit."""
 
 
 class Strategy:
@@ -116,33 +112,38 @@ class Strategy:
         return "Strategy(domain=%d vertices)" % len(self.domain_vertices())
 
 
-def extract_strategy(g: GameGraph, t: StrategyTemplate) -> Strategy:
-    """Turn a conflict-free template into an executable strategy.
+def _rotation(g: GameGraph, t: StrategyTemplate):
+    """The template's allowed edges as a CSR by source, in rotation
+    order: live-group edges first, then by edge id.
 
-    Allowed edges per player-0 vertex of the region: region-internal
-    edges that are neither unsafe nor co-live, live-group edges first.
-    Raises ConflictError (carrying the report) when the template has a
-    stuck or starved vertex.
+    Returns (offsets, ordered edge ids, live flag per ordered edge).
     """
-    report = find_conflicts(g, t)
-    if not report.is_conflict_free:
-        raise ConflictError(report)
     src = g.edge_sources()
-    dst = g.edge_targets
-    region = t.region_mask
-    allowed = (region[src] & region[dst] & ~t.banned_mask()
-               & (g.owners[src] == PLAYER0))
     live_edge = np.zeros(g.edge_count, dtype=np.bool_)
     for lg in t.live_groups:
         live_edge[lg.edge_ids] = True
-
-    ids = np.flatnonzero(allowed)
+    ids = np.flatnonzero(t.allowed_mask())
     not_live = (~live_edge[ids]).astype(np.int8)
     order = ids[np.lexsort((ids, not_live, src[ids]))]
     counts = np.bincount(src[ids], minlength=g.vertex_count)
     off = np.zeros(g.vertex_count + 1, dtype=np.int64)
     np.cumsum(counts, out=off[1:])
-    return Strategy(g, off, order, live_edge[order], region.copy())
+    return off, order, live_edge[order]
+
+
+def extract_strategy(g: GameGraph, t: StrategyTemplate) -> Strategy:
+    """Turn a conflict-free template into an executable strategy.
+
+    Allowed edges per player-0 vertex of the region are those of
+    StrategyTemplate.allowed_mask, live-group edges first.  Raises
+    ConflictError (carrying the report) when the template has a stuck
+    or starved vertex.
+    """
+    report = find_conflicts(g, t)
+    if not report.is_conflict_free:
+        raise ConflictError(report)
+    off, order, live = _rotation(g, t)
+    return Strategy(g, off, order, live, t.region_mask.copy())
 
 
 @dataclass(frozen=True)
@@ -168,119 +169,6 @@ class Verdict:
         return self.queried - self.winning_from
 
 
-def _build_product(g: GameGraph, s: Strategy, start: Sequence[int],
-                   state_limit: int):
-    """Reachable (vertex, cursor vector) product under the strategy.
-
-    Returns (states, succs, initial) where states[i] = (v, cursors),
-    succs[i] lists successor state indices, and initial maps each start
-    vertex to its state index.
-    """
-    dom = [int(v) for v in s.domain_vertices()]
-    dom_index = {v: i for i, v in enumerate(dom)}
-    base = s.cursor_state()
-    dst = g.edge_targets
-
-    states: list[tuple[int, tuple[int, ...]]] = []
-    index: dict[tuple[int, tuple[int, ...]], int] = {}
-    succs: list[list[int]] = []
-
-    def intern(v: int, cursors: tuple[int, ...]) -> int:
-        key = (v, cursors)
-        got = index.get(key)
-        if got is not None:
-            return got
-        if len(states) >= state_limit:
-            raise ProductLimitError(
-                "strategy product exceeded %d states" % state_limit)
-        index[key] = len(states)
-        states.append(key)
-        succs.append([])
-        return index[key]
-
-    initial = {int(v): intern(int(v), base) for v in start}
-    frontier = list(initial.values())
-    seen_expanded = set()
-    while frontier:
-        i = frontier.pop()
-        if i in seen_expanded:
-            continue
-        seen_expanded.add(i)
-        v, cursors = states[i]
-        if g.owner_of(v) == PLAYER0:
-            ids = s.allowed_ids(v)
-            if ids.size == 0:
-                raise StrategyDomainError(
-                    "reachable player-0 vertex %s has no move" % g.name_of(v))
-            k = cursors[dom_index[v]] % ids.size
-            target = int(dst[ids[k]])
-            nxt = list(cursors)
-            nxt[dom_index[v]] = (k + 1) % ids.size
-            j = intern(target, tuple(nxt))
-            succs[i].append(j)
-            frontier.append(j)
-        else:
-            for t_ in g.successors(v):
-                j = intern(int(t_), cursors)
-                succs[i].append(j)
-                frontier.append(j)
-    return states, succs, initial
-
-
-def _find_odd_lasso(states, succs, init: int, prios: list[int]) -> Lasso:
-    """A reachable cycle whose maximal priority is odd, as a lasso."""
-    # BFS tree from the initial state
-    parent = {init: -1}
-    queue = [init]
-    order = []
-    while queue:
-        i = queue.pop(0)
-        order.append(i)
-        for j in succs[i]:
-            if j not in parent:
-                parent[j] = i
-                queue.append(j)
-
-    def path_to(i: int) -> list[int]:
-        out = []
-        while i != -1:
-            out.append(i)
-            i = parent[i]
-        return out[::-1]
-
-    for pivot in order:
-        p = prios[pivot]
-        if p % 2 == 0:
-            continue
-        # cycle through pivot using only states of priority <= p
-        seen = {pivot: -1}
-        q = [pivot]
-        hit = None
-        while q and hit is None:
-            i = q.pop(0)
-            for j in succs[i]:
-                if prios[j] > p:
-                    continue
-                if j == pivot:
-                    hit = i
-                    break
-                if j not in seen:
-                    seen[j] = i
-                    q.append(j)
-        if hit is None:
-            continue
-        back = []
-        i = hit
-        while i != -1:
-            back.append(i)
-            i = seen[i]
-        cycle = back[::-1]  # pivot ... hit
-        prefix = path_to(pivot)[:-1]
-        return Lasso(tuple(states[i][0] for i in prefix),
-                     tuple(states[i][0] for i in cycle))
-    raise AssertionError("losing verdict without an odd reachable cycle")
-
-
 def _checked_args(g: GameGraph, s: Strategy, objectives, start):
     if isinstance(objectives, PriorityFunction):
         objectives = [objectives]
@@ -295,40 +183,6 @@ def _checked_args(g: GameGraph, s: Strategy, objectives, start):
     else:
         start_ids = sorted(int(v) for v in np.flatnonzero(g.mask_of(start)))
     return objectives, start_ids
-
-
-def _exact_verdict(g: GameGraph, s: Strategy, objectives,
-                   start=None, state_limit: int = 100_000) -> Verdict:
-    """verify_strategy by brute force on the (vertex, cursor vector)
-    product.  Exponential in the domain size; only for small instances
-    and for cross-checking the limit analysis.
-    """
-    objectives, start_ids = _checked_args(g, s, objectives, start)
-    states, succs, initial = _build_product(g, s, start_ids, state_limit)
-    product = GameGraph.from_lists([1] * len(states),
-                                   [sorted(set(js)) for js in succs])
-    win_all = np.ones(len(states), dtype=np.bool_)
-    per_objective = []
-    for pf in objectives:
-        prod_pf = PriorityFunction([pf.of(v) for v, _ in states],
-                                   max_priority=pf.max_priority)
-        w0 = zielonka_regions(product, prod_pf).w0_mask
-        per_objective.append((prod_pf, w0))
-        win_all &= w0
-
-    winning = frozenset(v for v in start_ids if win_all[initial[v]])
-    counterexample = None
-    for v in start_ids:
-        if v in winning:
-            continue
-        for prod_pf, w0 in per_objective:
-            if not w0[initial[v]]:
-                counterexample = _find_odd_lasso(
-                    states, succs, initial[v],
-                    [prod_pf.of(i) for i in range(len(states))])
-                break
-        break
-    return Verdict(frozenset(start_ids), winning, counterexample)
 
 
 def _allowed_successors(g: GameGraph, s: Strategy) -> list[list[int]]:

@@ -27,11 +27,20 @@ import numpy as np
 from .graph import Edge, GameGraph, PLAYER0
 
 
+def _checked_ids(g: GameGraph, ids: np.ndarray) -> np.ndarray:
+    """The ids as int64, or ValueError if one lies outside [0, m)."""
+    ids = ids.astype(np.int64, copy=False)
+    if ids.size and (ids.min() < 0 or ids.max() >= g.edge_count):
+        raise ValueError("edge id out of range")
+    return ids
+
+
 def _edge_ids(g: GameGraph, edges) -> np.ndarray:
-    """Edge ids from (u, v) pairs, or an integer id array as it is.
-    Raises KeyError for a pair that is no edge."""
+    """Edge ids from (u, v) pairs, or from an integer id array.
+    Raises KeyError for a pair that is no edge and ValueError for an id
+    out of range."""
     if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu":
-        return edges.astype(np.int64, copy=False)
+        return _checked_ids(g, edges)
     pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
     ids = g.edge_ids(pairs[:, 0], pairs[:, 1])
     missing = np.flatnonzero(ids < 0)
@@ -52,8 +61,8 @@ def _edge_mask(g: GameGraph, edges) -> np.ndarray:
     else:
         items = list(edges)
         pairs = [e for e in items if isinstance(e, tuple)]
-        ids = np.array([int(e) for e in items if not isinstance(e, tuple)],
-                       dtype=np.int64)
+        ids = _checked_ids(g, np.array(
+            [int(e) for e in items if not isinstance(e, tuple)], dtype=np.int64))
         if pairs:
             ids = np.concatenate([ids, _edge_ids(g, pairs)])
     mask = np.zeros(g.edge_count, dtype=np.bool_)
@@ -190,6 +199,16 @@ class StrategyTemplate:
     def banned_mask(self) -> np.ndarray:
         return self._unsafe | self._colive
 
+    def allowed_mask(self) -> np.ndarray:
+        """The edges a compliant strategy may play: player-0 edges
+        inside the region that are neither unsafe nor co-live.  The one
+        definition that conflict checks, extraction and fault
+        adaptation share."""
+        g = self.graph
+        src = g.edge_sources()
+        return (self._region[src] & self._region[g.edge_targets]
+                & ~self.banned_mask() & (g.owners[src] == PLAYER0))
+
     # -- value views --------------------------------------------------------
 
     @property
@@ -286,28 +305,30 @@ def find_conflicts(g: GameGraph, t: StrategyTemplate) -> ConflictReport:
         raise ValueError("template bound to a different graph")
     n = g.vertex_count
     src = g.edge_sources()
-    dst = g.edge_targets
     region = t.region_mask
-    banned = t.banned_mask()
+    allowed = t.allowed_mask()
 
-    into_region = region[src] & region[dst]
-    usable = np.bincount(src[into_region & ~banned], minlength=n)
-    candidates = region & (g.owners == PLAYER0)
-    dead = np.flatnonzero(candidates & (usable == 0))
+    usable = np.bincount(src[allowed], minlength=n)
+    dead = np.flatnonzero(region & (g.owners == PLAYER0) & (usable == 0))
 
+    # one pass over all group edges, keyed group*n + source: a member
+    # key (source in the region) is blocked when none of its edges is
+    # allowed.  Group edge ids are sorted and edge ids ascend with the
+    # source, so the keys already ascend; each run of equal keys is one
+    # (group, source) pair, and the groups come out in order.
+    groups = t.live_groups
     starved: dict[int, list[LiveGroup]] = {}
-    for lg in t.live_groups:
-        ids = lg.edge_ids
-        g_src = src[ids]
-        ok = region[dst[ids]] & ~banned[ids]
-        served = np.bincount(g_src[ok], minlength=n)
-        members = np.zeros(n, dtype=np.bool_)
-        members[g_src] = True
-        blocked = np.flatnonzero(members & region & (served == 0))
-        for v in blocked:
-            starved.setdefault(int(v), []).append(lg)
+    if groups:
+        ids = np.concatenate([lg.edge_ids for lg in groups])
+        sizes = [len(lg) for lg in groups]
+        keys = np.repeat(np.arange(len(groups), dtype=np.int64), sizes) * n + src[ids]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        served = np.logical_or.reduceat(allowed[ids], starts)
+        blocked = keys[starts[region[src[ids[starts]]] & ~served]]
+        for k, v in zip((blocked // n).tolist(), (blocked % n).tolist()):
+            starved.setdefault(v, []).append(groups[k])
 
-    return ConflictReport(frozenset(int(v) for v in dead),
+    return ConflictReport(frozenset(dead.tolist()),
                           {v: tuple(gs) for v, gs in starved.items()})
 
 

@@ -12,6 +12,12 @@ kernels use worklist semantics for such vertices: a vertex with no
 (restricted) successors is never pulled in by closure, only by being in
 the seed set.  Full graphs are total, so the public operators match the
 textbook definitions exactly.
+
+Both attractors run on one counter-based worklist kernel.  Every vertex
+carries a counter of the edges into the set it still needs: 1 for the
+attracting player's vertices and the restricted out-degree for the
+opponent's in ``attr``, the restricted out-degree for everyone in
+``uattr``.  A vertex joins the set when its counter reaches zero.
 """
 from __future__ import annotations
 
@@ -38,6 +44,7 @@ def _gather_ranges(off: np.ndarray, flat: np.ndarray, idx: np.ndarray) -> np.nda
 
 
 def _restricted_degrees(g: GameGraph, universe: np.ndarray | None) -> np.ndarray:
+    """Out-degrees within the universe, as a fresh array."""
     if universe is None:
         return np.diff(g.succ_offsets())
     src = g.edge_sources()
@@ -83,46 +90,18 @@ def cpre_mask(g: GameGraph, u: np.ndarray, player: int,
     return out
 
 
-def attr_mask(g: GameGraph, target: np.ndarray, player: int,
-              universe: np.ndarray | None = None) -> np.ndarray:
-    """Least fixpoint of cpre for the player, seeded with target.
+def _attractor(g: GameGraph, target: np.ndarray, counter: np.ndarray,
+               universe: np.ndarray | None) -> np.ndarray:
+    """Counter-based worklist shared by attr_mask and uattr_mask.
 
-    Counter-based worklist: each edge is inspected a constant number of
-    times, so a call costs O(n + m).
+    counter[v] is how many of v's (restricted) edges must lead into the
+    set before v joins it.  Each round decrements the counters of the
+    frontier's predecessors once per edge and adds those that reach
+    zero, so every edge is inspected a constant number of times and a
+    call costs O(n + m); a round touches only the frontier's edges, not
+    all n counters.
     """
-    owners = g.owners
     in_a = target.copy() if universe is None else (target & universe)
-    counter = _restricted_degrees(g, universe).copy()
-    poff, psrc = g.pred_csr()
-    frontier = np.flatnonzero(in_a)
-    while frontier.size:
-        preds = _gather_ranges(poff, psrc, frontier)
-        if universe is not None:
-            preds = preds[universe[preds]]
-        preds = preds[~in_a[preds]]
-        if preds.size == 0:
-            break
-        newly = np.unique(preds[owners[preds] == player])
-        opp = preds[owners[preds] != player]
-        if opp.size:
-            # decrement only the touched counters so a round costs
-            # O(frontier edges), not O(n)
-            cand, cnts = np.unique(opp, return_counts=True)
-            counter[cand] -= cnts
-            hit = cand[counter[cand] == 0]
-            if hit.size:
-                newly = np.union1d(newly, hit)
-        in_a[newly] = True
-        frontier = newly
-    return in_a
-
-
-def uattr_mask(g: GameGraph, target: np.ndarray,
-               universe: np.ndarray | None = None) -> np.ndarray:
-    """Least fixpoint of upre seeded with target: both players are
-    dragged into the set regardless of choices."""
-    in_a = target.copy() if universe is None else (target & universe)
-    counter = _restricted_degrees(g, universe).copy()
     poff, psrc = g.pred_csr()
     frontier = np.flatnonzero(in_a)
     while frontier.size:
@@ -134,10 +113,29 @@ def uattr_mask(g: GameGraph, target: np.ndarray,
             break
         cand, cnts = np.unique(preds, return_counts=True)
         counter[cand] -= cnts
-        newly = cand[counter[cand] == 0]
+        newly = cand[counter[cand] <= 0]
         in_a[newly] = True
         frontier = newly
     return in_a
+
+
+def attr_mask(g: GameGraph, target: np.ndarray, player: int,
+              universe: np.ndarray | None = None) -> np.ndarray:
+    """Least fixpoint of cpre for the player, seeded with target.
+
+    The player's vertices join after one edge into the set, the
+    opponent's after all of their (restricted) edges.
+    """
+    counter = _restricted_degrees(g, universe)
+    counter[g.owners == player] = 1
+    return _attractor(g, target, counter, universe)
+
+
+def uattr_mask(g: GameGraph, target: np.ndarray,
+               universe: np.ndarray | None = None) -> np.ndarray:
+    """Least fixpoint of upre seeded with target: both players are
+    dragged into the set regardless of choices."""
+    return _attractor(g, target, _restricted_degrees(g, universe), universe)
 
 
 # -- public, whole-graph operators --------------------------------------

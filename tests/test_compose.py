@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgtemplates import compose
 from pgtemplates import (ComposeState, PriorityFunction, add_objective,
                          brute_force_gen_parity_region, compose_templates,
                          extract_strategy, find_conflicts, pad_to_odd,
@@ -180,3 +181,23 @@ def test_compose_region_sound_and_strategies_win(seed, k):
         raw = verify_strategy(g, s, objectives,
                               start=np.flatnonzero(state.w0_mask))
         assert raw.is_winning
+
+
+def test_compose_rejects_conflicted_result(g6, monkeypatch):
+    # a state that leaves vertex a without any allowed edge
+    colive = np.zeros(g6.edge_count, dtype=np.bool_)
+    lo, hi = g6.edge_range(g6.id_of("a"))
+    colive[lo:hi] = True
+    bad = ComposeState(g6, np.ones(g6.vertex_count, dtype=np.bool_), (),
+                       colive, (phi3(g6),))
+    monkeypatch.setattr(compose, "_fold_objective", lambda g, state, pf: bad)
+    with pytest.raises(RuntimeError, match="conflicted template"):
+        compose_templates(g6, ComposeState.initial(g6), [phi3(g6)])
+
+
+def test_compose_rejects_a_measure_that_does_not_fall(g6, monkeypatch):
+    # without relabeling the conflicts of the gap instance come back
+    # unchanged, so the measure repeats
+    monkeypatch.setattr(compose, "relabel", lambda pf, u: pf)
+    with pytest.raises(RuntimeError, match="failed to decrease"):
+        compose_templates(g6, ComposeState.initial(g6), [phi3(g6), phi4(g6)])

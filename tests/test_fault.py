@@ -30,15 +30,6 @@ def test_fault_model_validation(g6):
     assert fm.faulty == frozenset(edges(g6, ("a", "d")))
     with pytest.raises(ValueError, match="player-0"):
         FaultModel(g6, edges(g6, ("b", "a")))
-    all_edges = list(g6.edges())
-    dropped = [e for e in all_edges if e != edge(g6, "a", "d")]
-    fm = FaultModel(g6, edges(g6, ("a", "d")), trace=[all_edges, dropped])
-    assert fm.trace[1] == frozenset(dropped)
-    with pytest.raises(ValueError, match="full edge set"):
-        FaultModel(g6, edges(g6, ("a", "d")), trace=[dropped])
-    with pytest.raises(ValueError, match="exactly"):
-        FaultModel(g6, edges(g6, ("a", "d"), ("a", "c")),
-                   trace=[all_edges, dropped])
 
 
 def test_delete_edges_repairs_dead_ends(g6):

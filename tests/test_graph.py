@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pgtemplates import (DeadEndError, GameGraph, GraphBuildError,
-                         GraphBuilder, PriorityFunction, edges_between,
-                         restrict)
+from pgtemplates import GameGraph, GraphBuildError, GraphBuilder, PriorityFunction
 from conftest import edge, names_of, vset
 
 
@@ -104,54 +102,6 @@ def test_mask_and_set_round_trip(g6):
         g6.mask_of([99])
 
 
-def test_restrict_keeps_induced_edges(g6):
-    sub, old_ids = restrict(g6, vset(g6, "abd"))
-    assert sub.vertex_count == 3
-    by_name = {sub.name_of(v): v for v in sub.vertices()}
-    got = {(sub.name_of(u), sub.name_of(v)) for u, v in sub.edges()}
-    assert got == {("a", "a"), ("a", "b"), ("a", "d"), ("b", "a"),
-                   ("b", "d"), ("d", "a"), ("d", "b")}
-    assert [g6.name_of(int(i)) for i in old_ids] == ["a", "b", "d"]
-    assert sub.owner_of(by_name["a"]) == 0
-    assert sub.owner_of(by_name["b"]) == 1
-
-
-def test_restrict_full_set_is_identity(g6):
-    sub, old_ids = restrict(g6, g6.vertices())
-    assert np.array_equal(old_ids, np.arange(6))
-    assert sorted(sub.edges()) == sorted(g6.edges())
-
-
-def test_restrict_rejects_dead_ends(g6):
-    with pytest.raises(DeadEndError):
-        restrict(g6, vset(g6, "e"))
-    with pytest.raises(DeadEndError):
-        restrict(g6, [])
-
-
-def test_restrict_composes(g6):
-    a = vset(g6, "abde")
-    b_names = vset(g6, "abd")
-    sub_a, ids_a = restrict(g6, a)
-    inner_keep = [v for v in sub_a.vertices() if int(ids_a[v]) in b_names]
-    sub_ab, _ = restrict(sub_a, inner_keep)
-    direct, _ = restrict(g6, a & b_names)
-    got = {(sub_ab.name_of(u), sub_ab.name_of(v)) for u, v in sub_ab.edges()}
-    want = {(direct.name_of(u), direct.name_of(v)) for u, v in direct.edges()}
-    assert got == want
-
-
-def test_edges_between_goldens(g6):
-    assert edges_between(g6, vset(g6, "a"), vset(g6, "cd")) == \
-        [edge(g6, "a", "c"), edge(g6, "a", "d")]
-    assert edges_between(g6, [], g6.vertices()) == []
-    assert edges_between(g6, vset(g6, "acd"), vset(g6, "bef")) == \
-        sorted([edge(g6, "a", "b"), edge(g6, "d", "b"),
-                edge(g6, "d", "e")])
-    assert edges_between(g6, g6.vertices(), g6.vertices()) == \
-        sorted(g6.edges())
-
-
 def test_priority_function_basics():
     pf = PriorityFunction([0, 2, 1, 1, 1, 1])
     assert pf.max_priority == 2
@@ -181,16 +131,6 @@ def small_games(draw):
     succ = [sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
             for _ in range(n)]
     return GameGraph.from_lists(owners, succ)
-
-
-@given(small_games(), st.data())
-def test_edges_between_is_monotone(g, data):
-    xs = data.draw(st.sets(st.integers(0, g.vertex_count - 1)))
-    ys = data.draw(st.sets(st.integers(0, g.vertex_count - 1)))
-    bigger_x = xs | data.draw(st.sets(st.integers(0, g.vertex_count - 1)))
-    small = edges_between(g, xs, ys)
-    assert set(small) <= set(edges_between(g, bigger_x, ys))
-    assert set(small) == {(u, v) for u, v in g.edges() if u in xs and v in ys}
 
 
 @given(small_games())

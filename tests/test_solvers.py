@@ -1,4 +1,7 @@
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from pgtemplates import (GeneratorConfig, buchi_template, buchi_win,
                          find_conflicts, generate, parity_template,
                          reach_template, safety_template, safety_win,
                          verify_strategy, zielonka_regions)
+from pgtemplates import solvers
+from pgtemplates.graph import GameGraph
 from conftest import (buchi_pf, cobuchi_pf, edges, group_edge_sets, names_of,
                       rand_game, sample_compliant_strategy, vset)
 
@@ -187,3 +192,37 @@ def test_runtime_trend_stays_near_linear_per_size_step():
     small = min(_solve_time(2_000, s) for s in range(3))
     big = min(_solve_time(8_000, s) for s in range(3))
     assert big < 16 * 6 * max(small, 1e-3)
+
+
+def _trap_breaking_call():
+    # vertex 2 belongs to player 1 and has an edge into {0}, so {2} is
+    # no player-1 trap
+    g = GameGraph.from_lists([0, 0, 1], [[0, 1], [2], [0, 2]])
+    return solvers._crossing_edges(g, g.mask_of([2]), g.mask_of([0]))
+
+
+def test_crossing_edges_rejects_player1_escape():
+    with pytest.raises(RuntimeError, match="player-1 edge escapes"):
+        _trap_breaking_call()
+
+
+def test_crossing_edges_check_survives_python_O():
+    code = ("from pgtemplates import solvers\n"
+            "from pgtemplates.graph import GameGraph\n"
+            "g = GameGraph.from_lists([0, 0, 1], [[0, 1], [2], [0, 2]])\n"
+            "try:\n"
+            "    solvers._crossing_edges(g, g.mask_of([2]), g.mask_of([0]))\n"
+            "except RuntimeError as e:\n"
+            "    print('raised:', e)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=60, env={"PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: player-1 edge escapes")
+
+
+def test_cobuchi_without_safety_core_raises(g6, monkeypatch):
+    monkeypatch.setattr(solvers, "_safety_region",
+                        lambda g, stay, player, universe: np.zeros_like(universe))
+    with pytest.raises(RuntimeError, match="without a safety core"):
+        cobuchi_template(g6, vset(g6, "abcd"))

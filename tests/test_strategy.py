@@ -9,7 +9,7 @@ from pgtemplates import (ConflictError, GeneratorConfig, PriorityFunction,
                          StrategyDomainError, StrategyTemplate, conjoin,
                          extract_strategy, generate, parity_template,
                          parse_strategy, strategy_text, verify_strategy)
-from pgtemplates.strategy import _build_product, _exact_verdict
+from pgtemplates.oracle import _build_product, _exact_verdict
 from conftest import (buchi_pf, edge, edges, names_of, pf_by_name, rand_game,
                       vset)
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import (ConflictReport, LiveGroup, StrategyTemplate, conjoin,
-                         find_conflicts, parity_template)
-from pgtemplates.template import live_group
+from pgtemplates import (ConflictReport, GameGraph, LiveGroup,
+                         PriorityFunction, StrategyTemplate, conjoin,
+                         fault_correction, find_conflicts, parity_template)
+from pgtemplates.template import _edge_mask, live_group
 from conftest import edges, group_edge_sets, names_of, rand_game, vset
 
 
@@ -166,3 +167,21 @@ def test_solver_outputs_never_conflict(seed):
     free = np.bincount(src[ok], minlength=g.vertex_count)
     inside = t.region_mask & (g.owners == 0)
     assert (free[inside] >= 1).all()
+
+
+def test_integer_edge_ids_are_range_checked():
+    g = GameGraph.from_lists([0, 0, 1], [[0, 1], [2], [0, 2]])
+    pf = PriorityFunction([0, 0, 0])
+    t = parity_template(g, pf).template
+    for bad in (-1, -4, -5, g.edge_count, 7):
+        with pytest.raises(ValueError, match="edge id out of range"):
+            _edge_mask(g, np.array([bad]))
+        with pytest.raises(ValueError, match="edge id out of range"):
+            _edge_mask(g, [bad])
+        with pytest.raises(ValueError, match="edge id out of range"):
+            live_group(g, np.array([bad]))
+        with pytest.raises(ValueError, match="edge id out of range"):
+            fault_correction(g, pf, t, np.array([bad]))
+    with pytest.raises(ValueError, match="edge id out of range"):
+        StrategyTemplate.from_edges(g, unsafe=[7])
+    assert g.edge_of(int(np.flatnonzero(_edge_mask(g, np.array([1])))[0])) == (0, 1)
