@@ -17,7 +17,8 @@ import numpy as np
 
 from .graph import GameGraph, PLAYER0, PLAYER1, PriorityFunction
 from .template import LiveGroup, StrategyTemplate
-from .transformers import attr_mask, cpre_mask, uattr_mask
+from .transformers import (_attractor, _range_ids, _restricted_degrees,
+                           attr_mask, cpre_mask)
 
 
 class SolveResult:
@@ -114,39 +115,54 @@ def cobuchi_win(g: GameGraph, goal) -> np.ndarray:
 # -- template synthesis --------------------------------------------------
 
 
-def reach_template(g: GameGraph, goal,
-                   universe: np.ndarray | None = None) -> list[LiveGroup]:
+def reach_template(g: GameGraph, goal, universe=None) -> list[LiveGroup]:
     """Live-groups forcing progress toward the goal set.
 
     Alternates two closures: vertices that cannot help reaching the
     goal in every continuation (both players dragged in), then the
     player-0 frontier that can step into the closed set.  Each frontier
-    contributes one live-group: its edges into the closed set.
+    contributes one live-group: its edges into the closed set.  The
+    universe, like the goal, may be given as vertex ids or as a mask.
+
+    Both closures come from one run of the attractor kernel with one
+    counter array (every vertex needs all of its restricted edges in
+    the set), resumed from each frontier in turn: the frontier is the
+    touched player-0 vertices still outside the set.  Over the whole
+    call every edge is counted once and scanned at most once for a
+    group, so it costs O(n + m) however many layers there are.
 
     Requires that player 0 can attract the whole (restricted) graph to
     the goal; raises ValueError when the iteration stalls short of that.
     """
-    if universe is None:
-        universe = _full(g)
-    goal_mask = g.mask_of(goal) & universe
-    total = int(universe.sum())
-    src = g.edge_sources()
+    universe = _full(g) if universe is None else g.mask_of(universe)
+    a = g.mask_of(goal) & universe
+    counter = _restricted_degrees(g, universe)
+    off = g.succ_offsets()
     dst = g.edge_targets
     owners = g.owners
+    touched: list[np.ndarray] = []
+    frontier = np.flatnonzero(a)
+    outside = int(universe.sum()) - frontier.size
     groups: list[LiveGroup] = []
-    a = uattr_mask(g, goal_mask, universe)
-    while int(a.sum()) != total:
-        b = cpre_mask(g, a, PLAYER0, universe) & ~a
-        if not b.any():
+    while True:
+        outside -= _attractor(g, a, counter, frontier, universe, touched)
+        if outside == 0:
+            return groups
+        b = (np.unique(np.concatenate(touched)) if touched
+             else np.empty(0, np.int64))
+        touched.clear()
+        # a touched player-1 vertex joins only once all of its edges
+        # lead into the set, and the kernel adds it itself then
+        b = b[~a[b] & (owners[b] == PLAYER0)]
+        if b.size == 0:
             raise ValueError(
                 "reach_template: goal is not player-0 attractable from the "
                 "whole graph; restrict to the attractor first")
-        ids = np.flatnonzero(b[src] & a[dst])
-        ids = ids[owners[src[ids]] == PLAYER0]
-        if ids.size:
-            groups.append(LiveGroup(g, ids))
-        a = uattr_mask(g, a | b, universe)
-    return groups
+        ids = _range_ids(off, b)
+        groups.append(LiveGroup(g, ids[a[dst[ids]]]))
+        a[b] = True
+        outside -= b.size
+        frontier = b
 
 
 def _reach_exits(g: GameGraph, goal: np.ndarray, universe: np.ndarray,

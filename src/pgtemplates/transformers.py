@@ -18,6 +18,16 @@ carries a counter of the edges into the set it still needs: 1 for the
 attracting player's vertices and the restricted out-degree for the
 opponent's in ``attr``, the restricted out-degree for everyone in
 ``uattr``.  A vertex joins the set when its counter reaches zero.
+
+The kernel grows a set mask in place from a frontier of vertices just
+added to it, and leaves the counters where they stopped.  A caller may
+therefore add vertices to the set itself and resume the kernel from
+them with the same counters; the result is the closure of everything
+added so far, at O(n + m) over all resumptions together.  When given a
+``touched`` list, the kernel appends to it, once per round, the
+vertices whose counter fell without reaching zero, so that every vertex
+it leaves outside the set with a (restricted) edge into the set is
+listed at least once (a listed vertex may still join later).
 """
 from __future__ import annotations
 
@@ -31,16 +41,20 @@ def _check_player(player: int) -> None:
         raise ValueError("player must be 0 or 1, got %r" % (player,))
 
 
-def _gather_ranges(off: np.ndarray, flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Concatenate flat[off[i]:off[i+1]] for each i in idx, in order."""
+def _range_ids(off: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Concatenate range(off[i], off[i+1]) for each i in idx, in order."""
     lens = off[idx + 1] - off[idx]
     total = int(lens.sum())
     if total == 0:
-        return np.empty(0, dtype=flat.dtype)
+        return np.empty(0, dtype=np.int64)
     ends = np.cumsum(lens)
     pos = np.arange(total, dtype=np.int64)
-    shift = np.repeat(off[idx] - (ends - lens), lens)
-    return flat[pos + shift]
+    return pos + np.repeat(off[idx] - (ends - lens), lens)
+
+
+def _gather_ranges(off: np.ndarray, flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Concatenate flat[off[i]:off[i+1]] for each i in idx, in order."""
+    return flat[_range_ids(off, idx)]
 
 
 def _restricted_degrees(g: GameGraph, universe: np.ndarray | None) -> np.ndarray:
@@ -90,20 +104,24 @@ def cpre_mask(g: GameGraph, u: np.ndarray, player: int,
     return out
 
 
-def _attractor(g: GameGraph, target: np.ndarray, counter: np.ndarray,
-               universe: np.ndarray | None) -> np.ndarray:
-    """Counter-based worklist shared by attr_mask and uattr_mask.
+def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
+               frontier: np.ndarray, universe: np.ndarray | None,
+               touched: list | None = None) -> int:
+    """Counter-based worklist shared by every attractor; returns how
+    many vertices joined.
 
     counter[v] is how many of v's (restricted) edges must lead into the
-    set before v joins it.  Each round decrements the counters of the
-    frontier's predecessors once per edge and adds those that reach
-    zero, so every edge is inspected a constant number of times and a
-    call costs O(n + m); a round touches only the frontier's edges, not
-    all n counters.
+    set before v joins it.  The frontier holds vertices already in
+    in_a whose predecessors have not been counted yet.  Each round
+    decrements the counters of the frontier's predecessors once per
+    edge and adds those that reach zero to in_a, in place, so every
+    edge is inspected a constant number of times and a call costs
+    O(n + m); a round touches only the frontier's edges, not all n
+    counters.  The rest of each round's counted predecessors go to
+    ``touched`` when given.
     """
-    in_a = target.copy() if universe is None else (target & universe)
     poff, psrc = g.pred_csr()
-    frontier = np.flatnonzero(in_a)
+    joined = 0
     while frontier.size:
         preds = _gather_ranges(poff, psrc, frontier)
         if universe is not None:
@@ -113,10 +131,13 @@ def _attractor(g: GameGraph, target: np.ndarray, counter: np.ndarray,
             break
         cand, cnts = np.unique(preds, return_counts=True)
         counter[cand] -= cnts
-        newly = cand[counter[cand] <= 0]
-        in_a[newly] = True
-        frontier = newly
-    return in_a
+        hit = counter[cand] <= 0
+        if touched is not None:
+            touched.append(cand[~hit])
+        frontier = cand[hit]
+        in_a[frontier] = True
+        joined += frontier.size
+    return joined
 
 
 def attr_mask(g: GameGraph, target: np.ndarray, player: int,
@@ -128,14 +149,19 @@ def attr_mask(g: GameGraph, target: np.ndarray, player: int,
     """
     counter = _restricted_degrees(g, universe)
     counter[g.owners == player] = 1
-    return _attractor(g, target, counter, universe)
+    in_a = target.copy() if universe is None else (target & universe)
+    _attractor(g, in_a, counter, np.flatnonzero(in_a), universe)
+    return in_a
 
 
 def uattr_mask(g: GameGraph, target: np.ndarray,
                universe: np.ndarray | None = None) -> np.ndarray:
     """Least fixpoint of upre seeded with target: both players are
     dragged into the set regardless of choices."""
-    return _attractor(g, target, _restricted_degrees(g, universe), universe)
+    in_a = target.copy() if universe is None else (target & universe)
+    _attractor(g, in_a, _restricted_degrees(g, universe),
+               np.flatnonzero(in_a), universe)
+    return in_a
 
 
 # -- public, whole-graph operators --------------------------------------

@@ -1,20 +1,22 @@
-"""Differential checks of the attractor kernel and the conflict check
-against the implementations they replaced.
+"""Differential checks of the attractor kernel, reach_template and the
+conflict check against the implementations they replaced.
 
 The references below are the earlier code, kept verbatim apart from
-their names: two separate worklist loops for attr and uattr, and a
-find_conflicts that scans the live-groups one at a time with a
-length-n bincount each.
+their names: two separate worklist loops for attr and uattr, a
+reach_template that re-runs uattr and a full-edge cpre for every
+layer (calling the uattr reference, and building its full universe
+inline), and a find_conflicts that scans the live-groups one at a
+time with a length-n bincount each.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgtemplates import (ConflictReport, LiveGroup, StrategyTemplate, conjoin,
-                         find_conflicts, parity_template)
+                         find_conflicts, parity_template, reach_template)
 from pgtemplates.graph import PLAYER0
 from pgtemplates.transformers import (_gather_ranges, _restricted_degrees,
-                                      attr_mask, uattr_mask)
+                                      attr_mask, cpre_mask, uattr_mask)
 from conftest import rand_game
 
 
@@ -64,6 +66,30 @@ def uattr_mask_reference(g, target, universe=None):
     return in_a
 
 
+def reach_template_reference(g, goal, universe=None):
+    if universe is None:
+        universe = np.ones(g.vertex_count, dtype=np.bool_)
+    goal_mask = g.mask_of(goal) & universe
+    total = int(universe.sum())
+    src = g.edge_sources()
+    dst = g.edge_targets
+    owners = g.owners
+    groups = []
+    a = uattr_mask_reference(g, goal_mask, universe)
+    while int(a.sum()) != total:
+        b = cpre_mask(g, a, PLAYER0, universe) & ~a
+        if not b.any():
+            raise ValueError(
+                "reach_template: goal is not player-0 attractable from the "
+                "whole graph; restrict to the attractor first")
+        ids = np.flatnonzero(b[src] & a[dst])
+        ids = ids[owners[src[ids]] == PLAYER0]
+        if ids.size:
+            groups.append(LiveGroup(g, ids))
+        a = uattr_mask_reference(g, a | b, universe)
+    return groups
+
+
 def find_conflicts_reference(g, t):
     n = g.vertex_count
     src = g.edge_sources()
@@ -110,11 +136,25 @@ def game_and_masks(draw):
     return g, target, universe
 
 
+def copies(*masks):
+    return [None if mask is None else mask.copy() for mask in masks]
+
+
+def assert_unchanged(masks, kept):
+    """The kernel grows its mask in place; callers' masks must not move."""
+    for mask, copy in zip(masks, kept):
+        if mask is not None:
+            assert np.array_equal(mask, copy)
+
+
 @settings(deadline=None, max_examples=300)
 @given(game_and_masks(), st.integers(0, 1))
 def test_attr_mask_matches_reference(case, player):
     g, target, universe = case
-    assert np.array_equal(attr_mask(g, target, player, universe),
+    kept = copies(target, universe)
+    got = attr_mask(g, target, player, universe)
+    assert_unchanged([target, universe], kept)
+    assert np.array_equal(got,
                           attr_mask_reference(g, target, player, universe))
 
 
@@ -122,8 +162,38 @@ def test_attr_mask_matches_reference(case, player):
 @given(game_and_masks())
 def test_uattr_mask_matches_reference(case):
     g, target, universe = case
-    assert np.array_equal(uattr_mask(g, target, universe),
-                          uattr_mask_reference(g, target, universe))
+    kept = copies(target, universe)
+    got = uattr_mask(g, target, universe)
+    assert_unchanged([target, universe], kept)
+    assert np.array_equal(got, uattr_mask_reference(g, target, universe))
+
+
+@st.composite
+def reach_cases(draw):
+    """A goal and a universe: either the goal's player-0 attractor inside
+    an outer mask, where the layering succeeds, or an arbitrary mask,
+    where it usually stalls."""
+    g, goal, outer = draw(game_and_masks())
+    if draw(st.booleans()):
+        return g, goal, attr_mask(g, goal, PLAYER0, outer)
+    return g, goal, outer
+
+
+def outcome(fn, g, goal, universe):
+    try:
+        return [lg.edge_ids.tolist() for lg in fn(g, goal, universe)]
+    except ValueError:
+        return ValueError
+
+
+@settings(deadline=None, max_examples=400)
+@given(reach_cases())
+def test_reach_template_matches_reference(case):
+    g, goal, universe = case
+    kept = copies(goal, universe)
+    got = outcome(reach_template, g, goal, universe)
+    assert_unchanged([goal, universe], kept)
+    assert got == outcome(reach_template_reference, g, goal, universe)
 
 
 @settings(deadline=None, max_examples=150)

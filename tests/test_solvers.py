@@ -13,7 +13,7 @@ from pgtemplates import (GeneratorConfig, buchi_template, buchi_win,
                          find_conflicts, generate, parity_template,
                          reach_template, safety_template, safety_win,
                          verify_strategy, zielonka_regions)
-from pgtemplates import solvers
+from pgtemplates import solvers, transformers
 from pgtemplates.graph import GameGraph
 from conftest import (buchi_pf, cobuchi_pf, edges, group_edge_sets, names_of,
                       rand_game, sample_compliant_strategy, vset)
@@ -85,6 +85,67 @@ def test_reach_template_goldens(g6, g8):
 def test_reach_template_rejects_unattractable(g6):
     with pytest.raises(ValueError, match="attractable"):
         reach_template(g6, vset(g6, "f"))
+
+
+def test_reach_template_reads_universe_as_ids_or_mask():
+    g = GameGraph.from_lists([0, 0, 1], [[0, 1], [2], [0, 2]])
+    want = [frozenset({(0, 1)})]
+    assert [lg.edges for lg in reach_template(g, [2])] == want
+    for universe in (np.array([0, 1, 2]), np.ones(3, dtype=np.bool_)):
+        assert [lg.edges for lg in reach_template(g, [2], universe)] == want
+    # ids 1, 1, 0: the universe {0, 1} leaves the goal out
+    with pytest.raises(ValueError, match="attractable"):
+        reach_template(g, [2], universe=np.array([1, 1, 0]))
+    # a plain list is read as ids, like every other vertex-set argument,
+    # so [True, True, True] is the universe {1}
+    for universe in ([True, True, True], [1]):
+        with pytest.raises(ValueError, match="attractable"):
+            reach_template(g, [2], universe=universe)
+    with pytest.raises(ValueError, match="mask length"):
+        reach_template(g, [2], universe=np.ones(4, dtype=np.bool_))
+
+
+def test_reach_template_work_is_linear_on_a_chain(monkeypatch):
+    # vertex i may step back to i-1 or wait, so every vertex is its own
+    # layer; re-running the closures per layer would gather Θ(L·m)
+    length = 3000
+    g = GameGraph.from_lists([0] * length,
+                             [[0]] + [[i - 1, i] for i in range(1, length)])
+    calls = {"_restricted_degrees": 0, "uattr_mask": 0, "cpre_mask": 0}
+    gathered = []
+    inside = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if inside:
+                if name == "_range_ids":
+                    gathered.append(out.size)
+                else:
+                    calls[name] += 1
+            return out
+        return wrapper
+
+    for module in (transformers, solvers):
+        for name in ("_range_ids", *calls):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    real = solvers.reach_template
+
+    def traced(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solvers, "reach_template", traced)
+    res = solvers.buchi_template(g, [0])
+    assert res.w0_mask.all()
+    assert len(res.template.live_groups) == length - 1
+    assert calls == {"_restricted_degrees": 1, "uattr_mask": 0, "cpre_mask": 0}
+    assert sum(gathered) <= 2 * g.edge_count
 
 
 def test_cobuchi_win_and_template(g6):
