@@ -27,8 +27,8 @@ from .solvers import (SolveResult, buchi_template, buchi_win,
                       reach_template, safety_template, safety_win)
 from .strategy import (Lasso, Strategy, StrategyDomainError, Verdict,
                        extract_strategy, verify_strategy)
-from .template import (ConflictError, ConflictReport, LiveGroup,
-                       StrategyTemplate, conjoin, find_conflicts, live_group)
+from .template import (ConflictError, ConflictReport, StrategyTemplate,
+                       conjoin, find_conflicts)
 from .transformers import attr, cpre, uattr, upre
 
 __version__ = "0.1.0"
@@ -37,8 +37,8 @@ __all__ = [
     "PLAYER0", "PLAYER1", "Edge",
     "GameGraph", "GraphBuilder", "GraphBuildError", "PriorityFunction",
     "upre", "cpre", "attr", "uattr",
-    "LiveGroup", "live_group", "StrategyTemplate", "ConflictError",
-    "ConflictReport", "find_conflicts", "conjoin",
+    "StrategyTemplate", "ConflictError", "ConflictReport", "find_conflicts",
+    "conjoin",
     "SolveResult", "safety_win", "buchi_win", "cobuchi_win",
     "safety_template", "buchi_template", "cobuchi_template",
     "reach_template", "parity_template",

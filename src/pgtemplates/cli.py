@@ -11,7 +11,7 @@ import sys
 import time
 
 from .compose import ComposeState, add_objective, compose_templates
-from .fault import (CSV_HEADER, fault_correction, gaf_tolerant,
+from .fault import (CSV_HEADER, FaultStats, fault_correction, gaf_tolerant,
                     simulate_fault_conflicts)
 from .gameio import (ParseError, _EDGE_RE, emit_game, parse_game,
                      parse_strategy, parse_template, resolve_edges,
@@ -226,8 +226,8 @@ def _cmd_bench_fault(args) -> int:
     print(CSV_HEADER)
     for f in fractions:
         conflicts, trials, vf_sum = per_fraction[f]
-        print("%g,%d,%g,%g" % (f, trials, conflicts / max(trials, 1),
-                               vf_sum / max(trials, 1)))
+        print(FaultStats(f, trials, conflicts / max(trials, 1),
+                         vf_sum / max(trials, 1)).csv_row())
     return 0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import GameGraph, PriorityFunction
 from .solvers import _crossing_edges, parity_parts
-from .template import LiveGroup, StrategyTemplate, find_conflicts
+from .template import StrategyTemplate, find_conflicts
 
 # a conjunction of parity objectives, one priority function each
 GeneralizedParityObjective = Sequence[PriorityFunction]
@@ -57,13 +57,13 @@ def relabel(pf: PriorityFunction, u) -> PriorityFunction:
 
 class ComposeState:
     """Carry-over between incremental composition calls: the current
-    region, accumulated template parts, and the (possibly relabeled)
-    objectives handled so far."""
+    region, accumulated template parts (one edge-id array per
+    live-group), and the (possibly relabeled) objectives so far."""
 
     __slots__ = ("graph", "w0_mask", "live_groups", "colive_mask", "objectives")
 
     def __init__(self, graph: GameGraph, w0_mask: np.ndarray,
-                 live_groups: tuple[LiveGroup, ...], colive_mask: np.ndarray,
+                 live_groups: tuple[np.ndarray, ...], colive_mask: np.ndarray,
                  objectives: tuple[PriorityFunction, ...]):
         self.graph = graph
         self.w0_mask = w0_mask
@@ -114,8 +114,8 @@ def compose_templates(
 
     unsafe = np.zeros(g.edge_count, dtype=np.bool_)
     unsafe[_crossing_edges(g, state.w0_mask, ~state.w0_mask)] = True
-    template = StrategyTemplate(g, unsafe, state.colive_mask,
-                                list(state.live_groups), state.w0_mask)
+    template = StrategyTemplate.from_groups(g, unsafe, state.colive_mask,
+                                            state.live_groups, state.w0_mask)
     if not find_conflicts(g, template).is_conflict_free:
         raise RuntimeError("composition returned a conflicted template")
     return state, template
@@ -142,7 +142,7 @@ def _fold_objective(g: GameGraph, state: ComposeState,
             groups.extend(gi)
             for ids in ci:
                 colive[ids] = True
-        interim = StrategyTemplate(g, no_unsafe, colive, groups, new_w0)
+        interim = StrategyTemplate.from_groups(g, no_unsafe, colive, groups, new_w0)
         report = find_conflicts(g, interim)
         if report.is_conflict_free:
             return ComposeState(g, new_w0, tuple(groups), colive, tuple(objs))

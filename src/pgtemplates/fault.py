@@ -105,7 +105,7 @@ def fault_correction(g: GameGraph, priorities: PriorityFunction,
     if not mask.any():
         return t
     patched = StrategyTemplate(g, t.unsafe_mask | mask, t.colive_mask,
-                               t.live_groups, t.region_mask)
+                               t.group_off, t.group_ids, t.region_mask)
     if find_conflicts(g, patched).is_conflict_free:
         return patched
     g2, p2, _ = delete_edges(g, priorities, mask)
@@ -236,7 +236,8 @@ def simulate_fault_conflicts(g: GameGraph, priorities: PriorityFunction,
         unsafe = template.unsafe_mask.copy()
         unsafe[picked] = True
         patched = StrategyTemplate(g, unsafe, template.colive_mask,
-                                   template.live_groups, template.region_mask)
+                                   template.group_off, template.group_ids,
+                                   template.region_mask)
         report = find_conflicts(g, patched)
         hit = report.all_vertices
         if hit:

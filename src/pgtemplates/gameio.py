@@ -30,7 +30,7 @@ import numpy as np
 
 from .graph import GameGraph, PLAYER0, PriorityFunction
 from .strategy import Strategy
-from .template import StrategyTemplate, live_group
+from .template import StrategyTemplate, _group_csr
 
 
 class ParseError(ValueError):
@@ -477,16 +477,13 @@ def template_text(t: StrategyTemplate) -> str:
                                  for v in np.flatnonzero(t.region_mask).tolist())]
     lines.append(("unsafe: " + edge_list(t.unsafe_mask)).rstrip())
     lines.append(("colive: " + edge_list(t.colive_mask)).rstrip())
-    groups = t.live_groups
-    if groups:
-        sizes = np.array([len(lg) for lg in groups], dtype=np.int64)
-        ids = np.concatenate([lg.edge_ids for lg in groups])
-        group = np.repeat(np.arange(len(groups)), sizes)
-        tokens = _edge_tokens(g, _sorted_edges(g, ids, group), names)
-        off = _offsets(sizes).tolist()
-        lines.extend("live-group: " + " ".join(tokens[off[i]:off[i + 1]])
-                     for i in range(len(groups)))
-    return "\n".join(lines) + "\n"
+    tokens = _edge_tokens(g, _sorted_edges(g, t.group_ids, t.group_of_ids()), names)
+    # a group's first edge opens its line
+    opens = np.zeros(len(tokens), dtype=np.bool_)
+    opens[t.group_off[:-1]] = True
+    groups = "".join(("\nlive-group: " if first else " ") + tok
+                     for first, tok in zip(opens.tolist(), tokens))
+    return "\n".join(lines) + groups + "\n"
 
 
 def _template_line_error(g: GameGraph, raw: str, lineno: int, has_region: bool) -> NoReturn:
@@ -559,23 +556,20 @@ def parse_template(text: str, g: GameGraph) -> StrategyTemplate:
     if region is None:
         raise ParseError("missing region section", 1, 1)
 
+    # the section of every edge; a live-group line is one group
+    sizes = np.diff([sec[3] for sec in sections] + [len(us)])
+    section = np.repeat(np.arange(len(sections)), sizes)
+    labels = np.array([sec[2] for sec in sections], dtype=str)
     unsafe = np.zeros(g.edge_count, dtype=np.bool_)
+    unsafe[eids[(labels == "unsafe")[section]]] = True
     colive = np.zeros(g.edge_count, dtype=np.bool_)
-    groups = []
-    ends = [sec[3] for sec in sections[1:]] + [len(us)]
-    for (_, _, label, first), end in zip(sections, ends):
-        ids = eids[first:end]
-        if label == "unsafe":
-            unsafe[ids] = True
-        elif label == "colive":
-            colive[ids] = True
-        else:
-            lg = live_group(g, ids)
-            if lg is not None:
-                groups.append(lg)
+    colive[eids[(labels == "colive")[section]]] = True
+    in_group = (labels == "live-group")[section]
     region_mask = np.zeros(g.vertex_count, dtype=np.bool_)
     region_mask[region_ids] = True
-    return StrategyTemplate(g, unsafe, colive, groups, region_mask)
+    return StrategyTemplate(g, unsafe, colive,
+                            *_group_csr(g, section[in_group], eids[in_group]),
+                            region_mask)
 
 
 # -- strategy text -------------------------------------------------------------

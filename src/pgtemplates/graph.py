@@ -209,8 +209,17 @@ class GameGraph:
     def mask_of(self, vertices) -> np.ndarray:
         """Boolean membership mask over the vertex range.
 
-        Accepts an iterable of ids or an existing boolean mask (copied).
+        Accepts an iterable of ids, or a boolean mask (copied): a numpy
+        boolean array or an iterable of booleans only.  An iterable that
+        mixes booleans and ids raises ValueError.
         """
+        if not isinstance(vertices, np.ndarray):
+            vertices = list(vertices)
+            flags = sum(isinstance(v, (bool, np.bool_)) for v in vertices)
+            if 0 < flags < len(vertices):
+                raise ValueError("vertex set mixes booleans and vertex ids")
+            if flags:
+                vertices = np.array(vertices, dtype=np.bool_)
         if isinstance(vertices, np.ndarray) and vertices.dtype == np.bool_:
             if len(vertices) != self.vertex_count:
                 raise ValueError("mask length does not match vertex count")

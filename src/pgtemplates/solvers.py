@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import GameGraph, PLAYER0, PLAYER1, PriorityFunction
-from .template import LiveGroup, StrategyTemplate
+from .template import StrategyTemplate
 from .transformers import (_attractor, _range_ids, _restricted_degrees,
                            attr_mask, cpre_mask)
 
@@ -66,10 +66,6 @@ def _full(g: GameGraph) -> np.ndarray:
     return np.ones(g.vertex_count, dtype=np.bool_)
 
 
-def _empty(g: GameGraph) -> np.ndarray:
-    return np.zeros(g.vertex_count, dtype=np.bool_)
-
-
 # -- classical region solvers ------------------------------------------
 
 
@@ -115,8 +111,9 @@ def cobuchi_win(g: GameGraph, goal) -> np.ndarray:
 # -- template synthesis --------------------------------------------------
 
 
-def reach_template(g: GameGraph, goal, universe=None) -> list[LiveGroup]:
-    """Live-groups forcing progress toward the goal set.
+def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
+    """Live-groups forcing progress toward the goal set, one ascending
+    edge-id array per group.
 
     Alternates two closures: vertices that cannot help reaching the
     goal in every continuation (both players dragged in), then the
@@ -143,7 +140,7 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[LiveGroup]:
     touched: list[np.ndarray] = []
     frontier = np.flatnonzero(a)
     outside = int(universe.sum()) - frontier.size
-    groups: list[LiveGroup] = []
+    groups: list[np.ndarray] = []
     while True:
         outside -= _attractor(g, a, counter, frontier, universe, touched)
         if outside == 0:
@@ -159,14 +156,14 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[LiveGroup]:
                 "reach_template: goal is not player-0 attractable from the "
                 "whole graph; restrict to the attractor first")
         ids = _range_ids(off, b)
-        groups.append(LiveGroup(g, ids[a[dst[ids]]]))
+        groups.append(ids[a[dst[ids]]])
         a[b] = True
         outside -= b.size
         frontier = b
 
 
 def _reach_exits(g: GameGraph, goal: np.ndarray, universe: np.ndarray,
-                 groups: list[LiveGroup], outer: np.ndarray) -> np.ndarray:
+                 groups: list[np.ndarray], outer: np.ndarray) -> np.ndarray:
     """Edge ids that must be co-live for reach_template's groups to stay
     sound when plays may also move in ``outer`` (a superset of the
     universe).
@@ -179,8 +176,8 @@ def _reach_exits(g: GameGraph, goal: np.ndarray, universe: np.ndarray,
     """
     src = g.edge_sources()
     dragged = universe & ~goal & (g.owners == PLAYER0)
-    for lg in groups:
-        dragged[src[lg.edge_ids]] = False
+    if groups:
+        dragged[src[np.concatenate(groups)]] = False
     return np.flatnonzero(dragged[src] & outer[g.edge_targets]
                           & ~universe[g.edge_targets])
 
@@ -194,7 +191,7 @@ def safety_template(g: GameGraph, safe) -> SolveResult:
     unsafe = np.zeros(g.edge_count, dtype=np.bool_)
     unsafe[_crossing_edges(g, w0, w1)] = True
     colive = np.zeros(g.edge_count, dtype=np.bool_)
-    tpl = StrategyTemplate(g, unsafe, colive, (), w0)
+    tpl = StrategyTemplate.from_groups(g, unsafe, colive, [], w0)
     return SolveResult(w0, w1, tpl)
 
 
@@ -208,7 +205,7 @@ def buchi_template(g: GameGraph, goal) -> SolveResult:
     unsafe[_crossing_edges(g, w0, w1)] = True
     groups = reach_template(g, goal_mask & w0, universe=w0) if w0.any() else []
     colive = np.zeros(g.edge_count, dtype=np.bool_)
-    tpl = StrategyTemplate(g, unsafe, colive, groups, w0)
+    tpl = StrategyTemplate.from_groups(g, unsafe, colive, groups, w0)
     return SolveResult(w0, w1, tpl)
 
 
@@ -252,7 +249,7 @@ def cobuchi_template(g: GameGraph, goal) -> SolveResult:
             cur |= layer
         remaining &= ~cur
 
-    tpl = StrategyTemplate(g, unsafe, colive, (), w0)
+    tpl = StrategyTemplate.from_groups(g, unsafe, colive, [], w0)
     return SolveResult(w0, w1, tpl)
 
 
@@ -260,8 +257,8 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
     """One recursion step of the parity solver, written as a generator.
 
     Yields the universe of a needed sub-solve and receives its result;
-    returns (w0, w1, live_groups, colive_id_arrays) for the given
-    universe.  Run via _trampoline so recursion depth stays flat.
+    returns (w0, w1, live-group id arrays, colive id arrays) for the
+    given universe.  Run via _trampoline so recursion depth stays flat.
     """
     nothing = np.zeros(len(universe), dtype=np.bool_)
     if not universe.any():
@@ -320,7 +317,7 @@ def _trampoline(step, root_universe: np.ndarray):
 def parity_parts(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
     """Solve a parity objective on the universe-restricted subgame.
 
-    Returns (w0, w1, live_groups, colive_id_arrays) without deriving
+    Returns (w0, w1, live-group id arrays, colive id arrays) without deriving
     unsafe edges; composition combines parts from several objectives
     before the boundary is known.
     """
@@ -343,5 +340,5 @@ def parity_template(g: GameGraph, priorities: PriorityFunction) -> SolveResult:
     colive = np.zeros(g.edge_count, dtype=np.bool_)
     for ids in colive_ids:
         colive[ids] = True
-    tpl = StrategyTemplate(g, unsafe, colive, groups, w0)
+    tpl = StrategyTemplate.from_groups(g, unsafe, colive, groups, w0)
     return SolveResult(w0, w1, tpl)

@@ -120,8 +120,7 @@ def _rotation(g: GameGraph, t: StrategyTemplate):
     """
     src = g.edge_sources()
     live_edge = np.zeros(g.edge_count, dtype=np.bool_)
-    for lg in t.live_groups:
-        live_edge[lg.edge_ids] = True
+    live_edge[t.group_ids] = True
     ids = np.flatnonzero(t.allowed_mask())
     not_live = (~live_edge[ids]).astype(np.int8)
     order = ids[np.lexsort((ids, not_live, src[ids]))]
@@ -328,8 +327,10 @@ def _limit_lasso(succ, start: int, witnesses) -> Lasso:
 
     back = {pivot: -1}
     q = [pivot]
-    while q:
-        v = q.pop(0)
+    i = 0
+    while i < len(q):
+        v = q[i]
+        i += 1
         for t in succ[v]:
             if t == pivot:
                 cyc = [v]

@@ -13,6 +13,13 @@ together with the winning region the template was computed for.  Any
 player-0 strategy obeying all three predicates from inside the region
 wins the objective the producing solver was run with.
 
+Unsafe and co-live edges are one boolean mask over edge ids each.  The
+live-groups are one CSR over edge ids: group i is
+``group_ids[group_off[i]:group_off[i + 1]]``, nonempty, ascending, and
+made of player-0-sourced edges only (player 0 cannot honor an edge of
+player 1).  :class:`StrategyTemplate` validates it once, in bulk, and
+every other module reads or passes on the two arrays.
+
 Templates from different objectives are combined with :func:`conjoin`;
 the result may over-constrain some vertex, which :func:`find_conflicts`
 detects (composition then resolves the conflicts by re-solving, see the
@@ -70,112 +77,85 @@ def _edge_mask(g: GameGraph, edges) -> np.ndarray:
     return mask
 
 
-class LiveGroup:
-    """A nonempty set of player-0 edges that must recur whenever their
-    sources do.
+def _group_csr(g: GameGraph, group: np.ndarray, ids: np.ndarray):
+    """The live-group CSR of edge ids labelled with group numbers.
 
-    Edges with player-1 sources are dropped by :func:`live_group`
-    before construction: player 0 cannot honor them, and the producing
-    algorithms never need them.
+    Groups come out in ascending label order, each sorted and without
+    duplicates; player-1-sourced edges are dropped (player 0 cannot
+    honor them), and so are the groups they leave empty.
     """
-
-    __slots__ = ("graph", "_ids")
-
-    def __init__(self, graph: GameGraph, edge_ids: np.ndarray):
-        ids = np.unique(np.asarray(edge_ids, dtype=np.int64))
-        if ids.size == 0:
-            raise ValueError("a live-group needs at least one edge")
-        src = graph.edge_sources()[ids]
-        if not np.all(graph.owners[src] == PLAYER0):
-            raise ValueError("live-group edges must have player-0 sources")
-        ids.setflags(write=False)
-        self.graph = graph
-        self._ids = ids
-
-    @property
-    def edge_ids(self) -> np.ndarray:
-        return self._ids
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(self.graph.edge_of(int(e)) for e in self._ids)
-
-    def source_mask(self) -> np.ndarray:
-        mask = np.zeros(self.graph.vertex_count, dtype=np.bool_)
-        mask[self.graph.edge_sources()[self._ids]] = True
-        return mask
-
-    @property
-    def sources(self) -> frozenset[int]:
-        return frozenset(int(v) for v in self.graph.edge_sources()[self._ids])
-
-    def edges_from(self, v: int) -> list[Edge]:
-        lo, hi = self.graph.edge_range(v)
-        own = self._ids[(self._ids >= lo) & (self._ids < hi)]
-        return [self.graph.edge_of(int(e)) for e in own]
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LiveGroup):
-            return NotImplemented
-        return self.graph is other.graph and np.array_equal(self._ids, other._ids)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return "LiveGroup(%s)" % (sorted(self.edges),)
+    keep = g.owners[g.edge_sources()[ids]] == PLAYER0
+    group, ids = group[keep], ids[keep]
+    order = np.lexsort((ids, group))
+    group, ids = group[order], ids[order]
+    new = np.ones(len(ids), dtype=np.bool_)
+    new[1:] = (group[1:] != group[:-1]) | (ids[1:] != ids[:-1])
+    group, ids = group[new], ids[new]
+    first = np.ones(len(ids), dtype=np.bool_)
+    first[1:] = group[1:] != group[:-1]
+    return np.append(np.flatnonzero(first), len(ids)), ids
 
 
-def live_group(g: GameGraph, edges) -> LiveGroup | None:
-    """Build a live-group from edge pairs (or edge ids), dropping
-    player-1-sourced edges; returns None when nothing remains."""
-    ids = _edge_ids(g, edges)
-    kept = ids[g.owners[g.edge_sources()[ids]] == PLAYER0]
-    if not kept.size:
-        return None
-    return LiveGroup(g, kept)
+def _group_keys(off: np.ndarray, ids: np.ndarray) -> list[bytes]:
+    """One hashable key per group: the bytes of its id slice."""
+    return [ids[a:b].tobytes() for a, b in zip(off[:-1].tolist(), off[1:].tolist())]
 
 
 class StrategyTemplate:
     """Immutable template value; combine with :func:`conjoin`."""
 
-    __slots__ = ("graph", "_unsafe", "_colive", "_groups", "_region")
+    __slots__ = ("graph", "_unsafe", "_colive", "_group_off", "_group_ids",
+                 "_region")
 
     def __init__(self, graph: GameGraph, unsafe: np.ndarray, colive: np.ndarray,
-                 live_groups: Sequence[LiveGroup], region: np.ndarray):
-        for lg in live_groups:
-            if lg.graph is not graph:
-                raise ValueError("live-group bound to a different graph")
+                 group_off: np.ndarray, group_ids: np.ndarray, region: np.ndarray):
+        off = np.array(group_off, dtype=np.int64)
+        ids = np.array(group_ids, dtype=np.int64)
+        if (off.ndim != 1 or ids.ndim != 1 or off.size == 0 or off[0] != 0
+                or off[-1] != ids.size or (off[1:] <= off[:-1]).any()):
+            raise ValueError("live-group offsets must rise strictly from 0 to "
+                             "the id count: every live-group needs an edge")
+        _checked_ids(graph, ids)
+        step = ids[1:] > ids[:-1]
+        step[off[1:-1] - 1] = True
+        if not step.all():
+            raise ValueError("live-group edge ids must ascend within a group")
+        if not (graph.owners[graph.edge_sources()[ids]] == PLAYER0).all():
+            raise ValueError("live-group edges must have player-0 sources")
         self.graph = graph
         self._unsafe = unsafe.copy()
         self._colive = colive.copy()
-        self._groups = tuple(live_groups)
+        self._group_off = off
+        self._group_ids = ids
         self._region = region.copy()
-        self._unsafe.setflags(write=False)
-        self._colive.setflags(write=False)
-        self._region.setflags(write=False)
+        for a in (self._unsafe, self._colive, off, ids, self._region):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_groups(cls, graph: GameGraph, unsafe: np.ndarray, colive: np.ndarray,
+                    groups: Sequence[np.ndarray], region: np.ndarray) -> "StrategyTemplate":
+        """From one edge-id array per live-group, each nonempty, ascending
+        and player-0-sourced, as the solvers produce them."""
+        off = np.cumsum([0] + [len(ids) for ids in groups])
+        ids = np.concatenate(groups) if groups else np.empty(0, np.int64)
+        return cls(graph, unsafe, colive, off, ids, region)
 
     @classmethod
     def from_edges(cls, g: GameGraph, unsafe=(), colive=(), live_groups=(),
                    region=None) -> "StrategyTemplate":
         """Convenience constructor from edge pairs and a vertex set.
 
-        region=None means the whole vertex set.  Live-groups may be
-        given as LiveGroup values or as iterables of edge pairs
-        (player-1-sourced edges are dropped, empty groups skipped).
+        region=None means the whole vertex set.  Live-groups are
+        iterables of edge pairs or edge ids; player-1-sourced edges and
+        duplicates are dropped, empty groups skipped.
         """
-        groups: list[LiveGroup] = []
-        for lg in live_groups:
-            if not isinstance(lg, LiveGroup):
-                lg = live_group(g, lg)
-            if lg is not None:
-                groups.append(lg)
+        per_group = [_edge_ids(g, lg) for lg in live_groups]
+        group = np.repeat(np.arange(len(per_group)), [len(ids) for ids in per_group])
+        ids = np.concatenate(per_group) if per_group else np.empty(0, np.int64)
         region_mask = (np.ones(g.vertex_count, dtype=np.bool_)
                        if region is None else g.mask_of(region))
         return cls(g, _edge_mask(g, unsafe), _edge_mask(g, colive),
-                   groups, region_mask)
+                   *_group_csr(g, group, ids), region_mask)
 
     @classmethod
     def unconstrained(cls, g: GameGraph) -> "StrategyTemplate":
@@ -195,6 +175,21 @@ class StrategyTemplate:
     @property
     def region_mask(self) -> np.ndarray:
         return self._region
+
+    @property
+    def group_off(self) -> np.ndarray:
+        """Live-group offsets into group_ids, length group count + 1."""
+        return self._group_off
+
+    @property
+    def group_ids(self) -> np.ndarray:
+        """The edge ids of all live-groups, group after group."""
+        return self._group_ids
+
+    def group_of_ids(self) -> np.ndarray:
+        """The group index of each entry of group_ids."""
+        return np.repeat(np.arange(len(self._group_off) - 1, dtype=np.int64),
+                         np.diff(self._group_off))
 
     def banned_mask(self) -> np.ndarray:
         return self._unsafe | self._colive
@@ -222,8 +217,12 @@ class StrategyTemplate:
                          for e in np.flatnonzero(self._colive))
 
     @property
-    def live_groups(self) -> tuple[LiveGroup, ...]:
-        return self._groups
+    def live_groups(self) -> tuple[frozenset[Edge], ...]:
+        g = self.graph
+        pairs = list(zip(g.edge_sources()[self._group_ids].tolist(),
+                         g.edge_targets[self._group_ids].tolist()))
+        off = self._group_off.tolist()
+        return tuple(frozenset(pairs[a:b]) for a, b in zip(off[:-1], off[1:]))
 
     @property
     def winning_region(self) -> frozenset[int]:
@@ -235,19 +234,18 @@ class StrategyTemplate:
             return NotImplemented
         if not (self.graph is other.graph or self.graph == other.graph):
             return False
-        mine = {frozenset(int(e) for e in lg.edge_ids) for lg in self._groups}
-        theirs = {frozenset(int(e) for e in lg.edge_ids) for lg in other._groups}
         return (np.array_equal(self._unsafe, other._unsafe)
                 and np.array_equal(self._colive, other._colive)
                 and np.array_equal(self._region, other._region)
-                and mine == theirs)
+                and set(_group_keys(self._group_off, self._group_ids))
+                == set(_group_keys(other._group_off, other._group_ids)))
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return ("StrategyTemplate(|W0|=%d, unsafe=%d, colive=%d, groups=%d)"
                 % (int(self._region.sum()), int(self._unsafe.sum()),
-                   int(self._colive.sum()), len(self._groups)))
+                   int(self._colive.sum()), len(self._group_off) - 1))
 
 
 class ConflictError(ValueError):
@@ -265,15 +263,15 @@ class ConflictReport:
 
     dead_vertices: player-0 vertices inside the region whose every edge
     back into the region is unsafe or co-live (no move left at all).
-    starved: vertices mapped to the live-groups they can no longer
-    serve, i.e. every group edge from the vertex into the region is
-    unsafe or co-live.
+    starved: vertices mapped to the indices, ascending, of the
+    live-groups they can no longer serve, i.e. every group edge from the
+    vertex into the region is unsafe or co-live.
     """
 
     __slots__ = ("dead_vertices", "starved")
 
     def __init__(self, dead_vertices: frozenset[int],
-                 starved: dict[int, tuple[LiveGroup, ...]]):
+                 starved: dict[int, tuple[int, ...]]):
         self.dead_vertices = frozenset(dead_vertices)
         self.starved = dict(starved)
 
@@ -313,42 +311,41 @@ def find_conflicts(g: GameGraph, t: StrategyTemplate) -> ConflictReport:
 
     # one pass over all group edges, keyed group*n + source: a member
     # key (source in the region) is blocked when none of its edges is
-    # allowed.  Group edge ids are sorted and edge ids ascend with the
+    # allowed.  Group edge ids ascend and edge ids ascend with the
     # source, so the keys already ascend; each run of equal keys is one
     # (group, source) pair, and the groups come out in order.
-    groups = t.live_groups
-    starved: dict[int, list[LiveGroup]] = {}
-    if groups:
-        ids = np.concatenate([lg.edge_ids for lg in groups])
-        sizes = [len(lg) for lg in groups]
-        keys = np.repeat(np.arange(len(groups), dtype=np.int64), sizes) * n + src[ids]
+    ids = t.group_ids
+    starved: dict[int, list[int]] = {}
+    if ids.size:
+        keys = t.group_of_ids() * n + src[ids]
         starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         served = np.logical_or.reduceat(allowed[ids], starts)
         blocked = keys[starts[region[src[ids[starts]]] & ~served]]
         for k, v in zip((blocked // n).tolist(), (blocked % n).tolist()):
-            starved.setdefault(v, []).append(groups[k])
+            starved.setdefault(v, []).append(k)
 
     return ConflictReport(frozenset(dead.tolist()),
-                          {v: tuple(gs) for v, gs in starved.items()})
+                          {v: tuple(ks) for v, ks in starved.items()})
 
 
 def conjoin(t1: StrategyTemplate, t2: StrategyTemplate) -> StrategyTemplate:
     """Conjunction of two templates over the same graph: union the edge
-    predicates, intersect the regions.  Conflicts are not checked here;
-    run find_conflicts on the result."""
+    predicates, intersect the regions.  Live-groups keep their order,
+    t1's first, and a group equal to an earlier one is dropped.
+    Conflicts are not checked here; run find_conflicts on the result."""
     if not (t1.graph is t2.graph or t1.graph == t2.graph):
         raise ValueError("cannot conjoin templates over different graphs")
-    groups: list[LiveGroup] = []
-    seen: set[frozenset[int]] = set()
-    for lg in (*t1.live_groups, *t2.live_groups):
-        key = frozenset(int(e) for e in lg.edge_ids)
-        if key not in seen:
-            seen.add(key)
-            groups.append(lg)
+    off = np.concatenate([t1.group_off, t2.group_off[1:] + t1.group_off[-1]])
+    ids = np.concatenate([t1.group_ids, t2.group_ids])
+    first: dict[bytes, int] = {}
+    keep = np.array([first.setdefault(key, i) == i
+                     for i, key in enumerate(_group_keys(off, ids))], dtype=np.bool_)
+    group = np.repeat(np.arange(len(keep)), np.diff(off))
+    kept = keep[group]
     return StrategyTemplate(
         t1.graph,
         t1.unsafe_mask | t2.unsafe_mask,
         t1.colive_mask | t2.colive_mask,
-        groups,
+        *_group_csr(t1.graph, group[kept], ids[kept]),
         t1.region_mask & t2.region_mask,
     )

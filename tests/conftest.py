@@ -81,8 +81,7 @@ def group_edge_sets(template):
     """Live groups as a list of frozensets of (u, v) pairs, order-free."""
     # plain sorted() would compare frozensets by inclusion, which is a
     # no-op for disjoint groups, so sort by the sorted edge list
-    return sorted((frozenset(tuple(e) for e in lg.edges)
-                   for lg in template.live_groups), key=sorted)
+    return sorted(template.live_groups, key=sorted)
 
 
 def buchi_pf(g, goal):
@@ -121,7 +120,8 @@ def sample_compliant_strategy(g, t, rng):
     vertex a nonempty subset of the allowed edges, keeping at least one
     edge of every live-group that has an allowed edge there."""
     base = extract_strategy(g, t)
-    group_ids = [set(int(e) for e in lg.edge_ids) for lg in t.live_groups]
+    off = t.group_off.tolist()
+    group_ids = [set(t.group_ids[a:b].tolist()) for a, b in zip(off[:-1], off[1:])]
     kept_ids = []
     counts = np.zeros(g.vertex_count, dtype=np.int64)
     for v in base.domain_vertices():

@@ -244,8 +244,8 @@ def test_10_fault_correction_matches_resolving_the_pruned_game():
                 g2,
                 unsafe=[e for e in fixed.unsafe_edges if g2.has_edge(*e)],
                 colive=[e for e in fixed.colive_edges if g2.has_edge(*e)],
-                live_groups=[[e for e in lg.edges if g2.has_edge(*e)]
-                             for lg in fixed.live_groups],
+                live_groups=[[e for e in group if g2.has_edge(*e)]
+                             for group in fixed.live_groups],
                 region=fixed.winning_region)
             s = extract_strategy(g2, surviving)
             assert verify_strategy(g2, s, p2).is_winning, "game %d" % i

@@ -66,8 +66,8 @@ def test_fault_correction_fast_path(g6):
         g2,
         unsafe=[e for e in fixed.unsafe_edges if g2.has_edge(*e)],
         colive=[e for e in fixed.colive_edges if g2.has_edge(*e)],
-        live_groups=[[e for e in lg.edges if g2.has_edge(*e)]
-                     for lg in fixed.live_groups],
+        live_groups=[[e for e in group if g2.has_edge(*e)]
+                     for group in fixed.live_groups],
         region=fixed.winning_region)
     s = extract_strategy(g2, surviving)
     a = g6.id_of("a")
@@ -84,7 +84,8 @@ def test_fault_correction_slow_path_matches_oracle(g6):
     for e in faulty:
         fault_mask[g6.edge_id(*e)] = True
     patched = StrategyTemplate(g6, t.unsafe_mask | fault_mask,
-                               t.colive_mask, t.live_groups, t.region_mask)
+                               t.colive_mask, t.group_off, t.group_ids,
+                               t.region_mask)
     assert not find_conflicts(g6, patched).is_conflict_free
     fixed = fault_correction(g6, pf, t, faulty)
     assert fixed.graph is not g6

@@ -126,6 +126,18 @@ def test_template_text_round_trip(g6):
     assert group_edge_sets(back) == group_edge_sets(t)
     assert np.array_equal(back.region_mask, t.region_mask)
     assert template_text(back) == text
+    # b is a player-1 vertex: its edges leave their groups, and a group
+    # of player-1 edges only is dropped; the other groups keep file order
+    text = ("region: a b c d e f\nunsafe:\ncolive:\n"
+            "live-group: (d,b) (a,c) (d,b) (b,a)\n"
+            "live-group: (b,a) (b,d)\n"
+            "live-group: (a,a)\n")
+    t = parse_template(text, g6)
+    assert t.live_groups == (frozenset(edges(g6, ("a", "c"), ("d", "b"))),
+                             frozenset(edges(g6, ("a", "a"))))
+    assert template_text(t) == ("region: a b c d e f\nunsafe:\ncolive:\n"
+                                "live-group: (a,c) (d,b)\nlive-group: (a,a)\n")
+    assert parse_template(template_text(t), g6) == t
 
 
 def test_template_text_uses_names(g6):

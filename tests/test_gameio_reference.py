@@ -17,7 +17,7 @@ from pgtemplates import (GeneratorConfig, ParseError, PriorityFunction, Strategy
                          parse_game, parse_strategy, parse_template,
                          strategy_text, template_text)
 from pgtemplates.graph import GameGraph, GraphBuilder, PLAYER0
-from pgtemplates.template import LiveGroup, StrategyTemplate
+from pgtemplates.template import StrategyTemplate
 
 
 # -- reference: the per-line parsers ------------------------------------------
@@ -220,13 +220,13 @@ def ref_parse_template(text, g):
             ids = [e for e in _parse_edge_list(g, index, s)
                    if g.owner_of(int(g.edge_sources()[e])) == PLAYER0]
             if ids:
-                groups.append(LiveGroup(g, np.array(ids, dtype=np.int64)))
+                groups.append(np.unique(np.array(ids, dtype=np.int64)))
         else:
             s.pos -= len(head.group(0))
             s.error("unknown section %r" % label)
     if region is None:
         raise ParseError("missing region section", 1, 1)
-    return StrategyTemplate(g, unsafe, colive, groups, region)
+    return StrategyTemplate.from_groups(g, unsafe, colive, groups, region)
 
 
 def ref_parse_strategy(text, g):
@@ -283,6 +283,12 @@ def _same_strategy(a, b):
             and np.array_equal(a.region_mask, b.region_mask))
 
 
+def _same_template(a, b):
+    """Equal templates with the same live-groups in the same order."""
+    return (a == b and np.array_equal(a.group_off, b.group_off)
+            and np.array_equal(a.group_ids, b.group_ids))
+
+
 def agree(bulk, ref, *args, same=lambda a, b: a == b):
     got, want = _outcome(bulk, *args), _outcome(ref, *args)
     assert got[0] == want[0], (got, want)
@@ -327,7 +333,7 @@ def test_generator_texts_round_trip_under_both_parsers(seed, n, named):
     assert emit_game(g2, objectives2) == game
     t = parity_template(g2, objectives2[0]).template
     text = template_text(t)
-    _, back = agree(parse_template, ref_parse_template, text, g2)
+    _, back = agree(parse_template, ref_parse_template, text, g2, same=_same_template)
     assert back == t
     assert template_text(back) == text
     if t.region_mask.any():
@@ -406,7 +412,8 @@ def test_mutated_game_texts_agree(data, seed, n, named):
 @given(st.data(), st.integers(0, 10_000), st.integers(1, 8), st.booleans())
 def test_mutated_template_and_strategy_texts_agree(data, seed, n, named):
     g, _, ttext, stext = _texts(seed, n, named)
-    agree(parse_template, ref_parse_template, data.draw(_mutated(ttext)), g)
+    agree(parse_template, ref_parse_template, data.draw(_mutated(ttext)), g,
+          same=_same_template)
     if stext is not None:
         agree(parse_strategy, ref_parse_strategy, data.draw(_mutated(stext)), g,
               same=_same_strategy)
@@ -442,7 +449,7 @@ def test_hand_picked_texts_agree():
                  "region: x\ncolive: (x,2) (2,x)\n", "region: x\nunsafe: (x,1\n",
                  "region: x \t\nunsafe: (x,1) \t\n", "region: z\nunsafe: (x,9)\n",
                  "unsafe: (x,9)\nregion: z\n"]:
-        agree(parse_template, ref_parse_template, text, g)
+        agree(parse_template, ref_parse_template, text, g, same=_same_template)
     for text in ["x: (x,1) (x,2)\n2: (2,2)\n", "x:\n", "x: (x,1)\nx: (x,2)\n",
                  "2: (x,1)\n", "1: (1,0)\n", "x: (x,1) junk\n", "x (x,1)\n"]:
         agree(parse_strategy, ref_parse_strategy, text, g, same=_same_strategy)

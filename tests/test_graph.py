@@ -100,6 +100,16 @@ def test_mask_and_set_round_trip(g6):
     assert g6.set_of(m) == vset(g6, "ad")
     with pytest.raises(ValueError, match="out of range"):
         g6.mask_of([99])
+    # an iterable of booleans only, Python or numpy, is a mask
+    flags = [True, False, False, True, False, False]
+    assert names_of(g6, g6.mask_of(flags)) == ["a", "d"]
+    assert names_of(g6, g6.mask_of(tuple(np.array(flags)))) == ["a", "d"]
+    assert names_of(g6, g6.mask_of([np.True_] * 6)) == list("abcdef")
+    with pytest.raises(ValueError, match="mask length"):
+        g6.mask_of([True, True, True])
+    for mixed in ([True, 1], [0, False], [np.True_, np.int64(2)]):
+        with pytest.raises(ValueError, match="mixes booleans"):
+            g6.mask_of(mixed)
 
 
 def test_priority_function_basics():

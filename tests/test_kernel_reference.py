@@ -6,13 +6,15 @@ their names: two separate worklist loops for attr and uattr, a
 reach_template that re-runs uattr and a full-edge cpre for every
 layer (calling the uattr reference, and building its full universe
 inline), and a find_conflicts that scans the live-groups one at a
-time with a length-n bincount each.
+time with a length-n bincount each.  Both now speak the template's
+live-group format: reach_template gives one edge-id array per layer, and
+a starved vertex maps to the indices of its groups.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import (ConflictReport, LiveGroup, StrategyTemplate, conjoin,
+from pgtemplates import (ConflictReport, StrategyTemplate, conjoin,
                          find_conflicts, parity_template, reach_template)
 from pgtemplates.graph import PLAYER0
 from pgtemplates.transformers import (_gather_ranges, _restricted_degrees,
@@ -85,7 +87,7 @@ def reach_template_reference(g, goal, universe=None):
         ids = np.flatnonzero(b[src] & a[dst])
         ids = ids[owners[src[ids]] == PLAYER0]
         if ids.size:
-            groups.append(LiveGroup(g, ids))
+            groups.append(ids)
         a = uattr_mask_reference(g, a | b, universe)
     return groups
 
@@ -103,8 +105,9 @@ def find_conflicts_reference(g, t):
     dead = np.flatnonzero(candidates & (usable == 0))
 
     starved = {}
-    for lg in t.live_groups:
-        ids = lg.edge_ids
+    off = t.group_off
+    for k in range(len(off) - 1):
+        ids = t.group_ids[off[k]:off[k + 1]]
         g_src = src[ids]
         ok = region[dst[ids]] & ~banned[ids]
         served = np.bincount(g_src[ok], minlength=n)
@@ -112,7 +115,7 @@ def find_conflicts_reference(g, t):
         members[g_src] = True
         blocked = np.flatnonzero(members & region & (served == 0))
         for v in blocked:
-            starved.setdefault(int(v), []).append(lg)
+            starved.setdefault(int(v), []).append(k)
 
     return ConflictReport(frozenset(int(v) for v in dead),
                           {v: tuple(gs) for v, gs in starved.items()})
@@ -120,10 +123,7 @@ def find_conflicts_reference(g, t):
 
 def assert_same_report(got, want):
     assert got.dead_vertices == want.dead_vertices
-    assert list(got.starved) == list(want.starved)
-    for v, groups in want.starved.items():
-        assert len(got.starved[v]) == len(groups)
-        assert all(a is b for a, b in zip(got.starved[v], groups))
+    assert list(got.starved.items()) == list(want.starved.items())
 
 
 @st.composite
@@ -181,7 +181,7 @@ def reach_cases(draw):
 
 def outcome(fn, g, goal, universe):
     try:
-        return [lg.edge_ids.tolist() for lg in fn(g, goal, universe)]
+        return [ids.tolist() for ids in fn(g, goal, universe)]
     except ValueError:
         return ValueError
 
@@ -214,21 +214,20 @@ def test_find_conflicts_matches_reference_on_patched_templates(seed, data):
     extra = data.draw(st.sets(st.integers(0, g.edge_count - 1)))
     unsafe = t.unsafe_mask.copy()
     unsafe[sorted(extra)] = True
-    patched = StrategyTemplate(g, unsafe, t.colive_mask, t.live_groups,
-                               t.region_mask)
+    patched = StrategyTemplate(g, unsafe, t.colive_mask, t.group_off,
+                               t.group_ids, t.region_mask)
     assert_same_report(find_conflicts(g, patched),
                        find_conflicts_reference(g, patched))
 
 
 def test_find_conflicts_keeps_group_order_and_identity(g6):
-    # two equal-content groups stay distinct values in the report
+    # two equal-content groups stay distinct indices in the report
     a = g6.id_of("a")
     lo, hi = g6.edge_range(a)
-    first = LiveGroup(g6, np.arange(lo, hi))
-    second = LiveGroup(g6, np.arange(lo, hi))
-    t = StrategyTemplate(g6, np.isin(np.arange(g6.edge_count), np.arange(lo, hi)),
-                         np.zeros(g6.edge_count, dtype=np.bool_), [second, first],
-                         np.ones(g6.vertex_count, dtype=np.bool_))
+    t = StrategyTemplate.from_groups(
+        g6, np.isin(np.arange(g6.edge_count), np.arange(lo, hi)),
+        np.zeros(g6.edge_count, dtype=np.bool_), [np.arange(lo, hi)] * 2,
+        np.ones(g6.vertex_count, dtype=np.bool_))
     got = find_conflicts(g6, t)
     assert_same_report(got, find_conflicts_reference(g6, t))
-    assert got.starved[a][0] is second and got.starved[a][1] is first
+    assert got.starved[a] == (0, 1)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import (ConflictError, GeneratorConfig, PriorityFunction,
-                         StrategyDomainError, StrategyTemplate, conjoin,
+from pgtemplates import (ConflictError, GameGraph, GeneratorConfig,
+                         PriorityFunction, StrategyDomainError,
+                         StrategyTemplate, conjoin,
                          extract_strategy, generate, parity_template,
                          parse_strategy, strategy_text, verify_strategy)
 from pgtemplates.oracle import _build_product, _exact_verdict
@@ -110,6 +111,20 @@ def test_verify_reports_lasso_through_bad_cycle(g6):
     walk = list(lasso.prefix) + list(lasso.cycle) + [lasso.cycle[0]]
     for u, v in zip(walk, walk[1:]):
         assert g6.has_edge(u, v)
+    # one large odd cycle, with chords i -> i+2 so the search for the
+    # cycle through the pivot holds many vertices at once
+    n = 20_000
+    big = GameGraph.from_lists([0] * n, [[(i + 1) % n, (i + 2) % n] for i in range(n)])
+    pf = PriorityFunction([1] + [0] * (n - 1))
+    s = extract_strategy(big, StrategyTemplate.unconstrained(big))
+    verdict = verify_strategy(big, s, pf, start=[n // 2])
+    lasso = verdict.counterexample
+    assert verdict.losing_from == {n // 2}
+    walk = list(lasso.prefix) + list(lasso.cycle) + [lasso.cycle[0]]
+    for u, v in zip(walk, walk[1:]):
+        assert big.has_edge(u, v)
+    assert walk[0] == n // 2 and len(set(lasso.cycle)) == len(lasso.cycle)
+    assert max(pf.of(v) for v in lasso.cycle) == 1
 
 
 def test_verify_all_zero_priorities_always_wins(g6):

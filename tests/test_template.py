@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import (ConflictReport, GameGraph, LiveGroup,
-                         PriorityFunction, StrategyTemplate, conjoin,
-                         fault_correction, find_conflicts, parity_template)
-from pgtemplates.template import _edge_mask, live_group
+from pgtemplates import (ConflictReport, GameGraph, PriorityFunction,
+                         StrategyTemplate, conjoin, fault_correction,
+                         find_conflicts, parity_template)
+from pgtemplates.template import _edge_mask
 from conftest import edges, group_edge_sets, names_of, rand_game, vset
 
 
@@ -35,23 +35,48 @@ def psi4(g):
         g, live_groups=[edges(g, ("a", "b"), ("d", "b"), ("d", "e"))])
 
 
-def test_live_group_drops_player1_sources(g6):
-    lg = live_group(g6, edges(g6, ("a", "c"), ("b", "a")))
-    assert lg.edges == frozenset(edges(g6, ("a", "c")))
-    assert names_of(g6, lg.sources) == ["a"]
-    assert live_group(g6, edges(g6, ("b", "a"))) is None
-    with pytest.raises(ValueError, match="player-0"):
-        LiveGroup(g6, np.array([g6.edge_id(*edges(g6, ("b", "a"))[0])]))
-    with pytest.raises(ValueError, match="at least one"):
-        LiveGroup(g6, np.array([], dtype=np.int64))
+def with_groups(g, off, ids):
+    return StrategyTemplate(g, np.zeros(g.edge_count, dtype=np.bool_),
+                            np.zeros(g.edge_count, dtype=np.bool_), off, ids,
+                            np.ones(g.vertex_count, dtype=np.bool_))
 
 
-def test_live_group_lookups(g6):
-    lg = live_group(g6, edges(g6, ("a", "c"), ("a", "d"), ("d", "a")))
-    assert len(lg) == 3
-    assert lg.edges_from(g6.id_of("a")) == edges(g6, ("a", "c"), ("a", "d"))
-    assert lg.edges_from(g6.id_of("b")) == []
-    assert names_of(g6, lg.source_mask()) == ["a", "d"]
+def test_constructor_rejects_malformed_group_csr(g6):
+    ac, ad, da, ba = (g6.edge_id(*e) for e in edges(
+        g6, ("a", "c"), ("a", "d"), ("d", "a"), ("b", "a")))
+    t = with_groups(g6, [0, 2, 3], [ac, ad, da])
+    assert t.live_groups == (frozenset(edges(g6, ("a", "c"), ("a", "d"))),
+                             frozenset(edges(g6, ("d", "a"))))
+    assert with_groups(g6, [0], np.empty(0, np.int64)).live_groups == ()
+    # a later group may start below the end of the one before
+    assert len(with_groups(g6, [0, 1, 2], [ad, ac]).live_groups) == 2
+    bad = [
+        ([0, 0, 1], [ac], "needs an edge"),  # an empty group
+        ([0, 1], [ba], "player-0"),
+        ([0, 1], [g6.edge_count], "out of range"),
+        ([0, 1], [-1], "out of range"),
+        ([1, 2], [ac, ad], "offsets"),
+        ([0, 1], [ac, ad], "offsets"),
+        ([0, 3], [ac, ad], "offsets"),
+        ([[0, 1]], [ac], "offsets"),
+        ([0, 2], [ad, ac], "ascend"),  # unsorted
+        ([0, 2], [ac, ac], "ascend"),  # a duplicate
+    ]
+    for off, ids, why in bad:
+        with pytest.raises(ValueError, match=why):
+            with_groups(g6, off, ids)
+
+
+def test_from_edges_normalizes_live_groups(g6):
+    t = StrategyTemplate.from_edges(g6, live_groups=[
+        edges(g6, ("d", "a"), ("a", "c"), ("b", "a"), ("a", "c")),
+        edges(g6, ("b", "a")),
+        edges(g6, ("a", "d"))])
+    assert t.live_groups == (frozenset(edges(g6, ("a", "c"), ("d", "a"))),
+                             frozenset(edges(g6, ("a", "d"))))
+    assert t.group_off.tolist() == [0, 2, 3]
+    assert t.group_of_ids().tolist() == [0, 0, 1]
+    assert not t.group_ids.flags.writeable
 
 
 def test_from_edges_defaults_to_full_region(g6):
@@ -128,9 +153,7 @@ def test_conflicts_starved_group(g6):
     assert not report.is_conflict_free
     assert names_of(g6, report.all_vertices) == ["a", "d"]
     assert names_of(g6, report.starved_vertices) == ["a", "d"]
-    for groups in report.starved.values():
-        assert [set(lg.edges) for lg in groups] == [
-            set(edges(g6, ("a", "b"), ("d", "b"), ("d", "e")))]
+    assert report.starved == {g6.id_of("a"): (0,), g6.id_of("d"): (0,)}
 
 
 def test_conflicts_only_inside_region(g6):
@@ -179,7 +202,7 @@ def test_integer_edge_ids_are_range_checked():
         with pytest.raises(ValueError, match="edge id out of range"):
             _edge_mask(g, [bad])
         with pytest.raises(ValueError, match="edge id out of range"):
-            live_group(g, np.array([bad]))
+            StrategyTemplate.from_edges(g, live_groups=[np.array([bad])])
         with pytest.raises(ValueError, match="edge id out of range"):
             fault_correction(g, pf, t, np.array([bad]))
     with pytest.raises(ValueError, match="edge id out of range"):
