@@ -46,8 +46,11 @@ def _vertex_args(g: GameGraph, text: str):
     return ids.tolist()
 
 
-def _vertex_list(g, vs) -> str:
-    return " ".join(g.name_of(int(v)) for v in sorted(vs))
+def _vertex_list(g: GameGraph, mask) -> str:
+    """Names of the vertices of a boolean mask, ascending by id."""
+    names = g.names
+    return " ".join(map(str if names is None else names.__getitem__,
+                        mask.nonzero()[0].tolist()))
 
 
 _EDGE_ARG = re.compile(r"[ ,\t]*" + _EDGE_RE.pattern)
@@ -91,7 +94,7 @@ def _cmd_solve(args) -> int:
     g, objectives = _load_game(args.file)
     pf = _pick_objective(objectives, args.objective)
     result = parity_template(g, pf)
-    print("W0: " + _vertex_list(g, result.winning_region0))
+    print("W0: " + _vertex_list(g, result.w0_mask))
     _emit_template(result.template, args.output)
     return 0
 
@@ -111,12 +114,12 @@ def _cmd_compose(args) -> int:
             state, template = add_objective(g, state, pf)
             elapsed = time.perf_counter() - t0
             print("step %d: W0 = %s (cumulative %.3fs)"
-                  % (step, _vertex_list(g, state.winning_region) or "(empty)",
+                  % (step, _vertex_list(g, state.w0_mask) or "(empty)",
                      elapsed))
     else:
         state, template = compose_templates(g, state, objectives)
-        print("W0: " + (_vertex_list(g, state.winning_region) or "(empty)"))
-    if not state.winning_region:
+        print("W0: " + (_vertex_list(g, state.w0_mask) or "(empty)"))
+    if not state.w0_mask.any():
         print(GAP_NOTE)
     _emit_template(template, args.output)
     return 0
@@ -145,9 +148,9 @@ def _cmd_verify(args) -> int:
         start = _vertex_args(g, args.start)
     verdict = verify_strategy(g, s, objectives, start=start)
     if verdict.is_winning:
-        print("winning from: " + _vertex_list(g, verdict.queried))
+        print("winning from: " + _vertex_list(g, g.mask_of(verdict.queried)))
         return 0
-    print("not winning from: " + _vertex_list(g, verdict.losing_from))
+    print("not winning from: " + _vertex_list(g, g.mask_of(verdict.losing_from)))
     lasso = verdict.counterexample
     if lasso is not None:
         print("counterexample prefix: " + " ".join(g.name_of(v) for v in lasso.prefix))
@@ -164,7 +167,7 @@ def _cmd_fault(args) -> int:
         if ok:
             print("tolerant: every region vertex keeps a usable edge")
             return 0
-        print("vulnerable at: " + _vertex_list(g, offenders))
+        print("vulnerable at: " + _vertex_list(g, g.mask_of(offenders)))
         return 4
     pf = _pick_objective(objectives, args.objective)
     adapted = fault_correction(g, pf, t, faulty)
@@ -193,11 +196,11 @@ def _cmd_oracle(args) -> int:
     g, objectives = _load_game(args.file)
     if len(objectives) == 1:
         regions = zielonka_regions(g, objectives[0])
-        w0 = g.set_of(regions.w0_mask)
+        w0 = regions.w0_mask
     else:
-        w0 = g.set_of(brute_force_gen_parity_region(g, objectives))
+        w0 = brute_force_gen_parity_region(g, objectives)
     print("W0: " + (_vertex_list(g, w0) or "(empty)"))
-    print("W1: " + (_vertex_list(g, set(g.vertices()) - w0) or "(empty)"))
+    print("W1: " + (_vertex_list(g, ~w0) or "(empty)"))
     return 0
 
 

@@ -16,8 +16,20 @@ Conversely, every reachable such trap is realizable in the limit,
 whatever the cursors say, because round-robin walks cover strongly
 connected graphs.  The strategy therefore wins an objective from a
 vertex exactly when no trap with an odd maximal priority is reachable
-from it; that is decided per objective by peeling SCCs, in linear time
-and without the exponential cursor product.
+from it; that is decided by peeling SCCs, without the exponential
+cursor product.
+
+The peeling has two steps.  The escape peel takes the SCCs, drops the
+player-0 vertices with an allowed edge leaving their SCC (they cannot
+recur in a limit set inside it) and repeats on the rest, until every
+SCC left is closed.  It never reads a priority, so the closed traps it
+yields are the same for every objective, and verify_strategy computes
+them once per call.  Per objective only the priority step remains: a
+closed trap whose top priority is odd is bad; one whose top priority
+is even loses its top-priority vertices (a limit set through one of
+them has an even top and is won), and the rest goes through both
+steps again.  A start
+vertex loses exactly when it reaches a bad trap of some objective.
 
 A "not winning" verdict comes with a lasso over allowed edges.  The
 lasso always witnesses a violation by some strategy that obeys the same
@@ -177,145 +189,234 @@ def _checked_args(g: GameGraph, s: Strategy, objectives, start):
     for pf in objectives:
         if len(pf) != g.vertex_count:
             raise ValueError("priority function does not cover the vertex set")
-    if start is None:
-        start_ids = sorted(int(v) for v in np.flatnonzero(s.region_mask))
-    else:
-        start_ids = sorted(int(v) for v in np.flatnonzero(g.mask_of(start)))
-    return objectives, start_ids
+    mask = s.region_mask if start is None else g.mask_of(start)
+    return objectives, np.flatnonzero(mask).tolist()
 
 
-def _allowed_successors(g: GameGraph, s: Strategy) -> list[list[int]]:
-    """Successor lists of the allowed-edge graph: the strategy's edges
-    for player 0, every graph edge for player 1."""
-    dst = g.edge_targets
-    out: list[list[int]] = []
-    for v in range(g.vertex_count):
-        if g.owner_of(v) == PLAYER0:
-            out.append([int(dst[e]) for e in s.allowed_ids(v)])
-        else:
-            out.append([int(t) for t in g.successors(v)])
-    return out
+class _AllowedGraph:
+    """The allowed-edge graph as flat Python lists, plus the scratch
+    arrays of its SCC search, built once per verify_strategy call.
 
-
-def _reachable_allowed(g: GameGraph, succ, start_ids) -> set[int]:
-    seen = set(start_ids)
-    stack = list(start_ids)
-    while stack:
-        v = stack.pop()
-        if g.owner_of(v) == PLAYER0 and not succ[v]:
-            raise StrategyDomainError(
-                "reachable player-0 vertex %s has no move" % g.name_of(v))
-        for t in succ[v]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
-def _components(succ, sub: set) -> list[list[int]]:
-    """Strongly connected components of the subgraph induced by sub
-    (iterative Tarjan)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on: set[int] = set()
-    trail: list[int] = []
-    comps: list[list[int]] = []
-    for root in sub:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, next_child = work[-1]
-            if next_child == 0:
-                index[v] = low[v] = len(index)
-                trail.append(v)
-                on.add(v)
-            descended = False
-            kids = succ[v]
-            while next_child < len(kids):
-                t = kids[next_child]
-                next_child += 1
-                if t not in sub:
-                    continue
-                if t not in index:
-                    work[-1] = (v, next_child)
-                    work.append((t, 0))
-                    descended = True
-                    break
-                if t in on:
-                    low[v] = min(low[v], index[t])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = trail.pop()
-                    on.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
-
-
-def _bad_limit_sets(succ, owners, pf: PriorityFunction, sub: set):
-    """Strongly connected player-0 traps of the allowed-edge graph with
-    an odd maximal priority, within sub.
-
-    Returns (bad, witnesses) where bad is the union of the maximal such
-    traps and witnesses lists (members, pivot) pairs, the pivot being a
-    vertex of maximal (odd) priority in its trap.  Every violating trap
-    is contained in one of the recorded ones, so reaching bad is
-    necessary and sufficient for losing.
+    A player-0 vertex keeps the strategy's edges in rotation order, a
+    player-1 vertex every graph edge.  off/dst are the successor CSR;
+    the SCC search marks the vertex set it works on with a fresh tag and
+    tells visited vertices by an index at or above the search's base, so
+    no per-search array is cleared or allocated.
     """
-    bad: set[int] = set()
-    witnesses: list[tuple[set[int], int]] = []
-    queue: list[set[int]] = [set(sub)]
+
+    __slots__ = ("off", "dst", "player0", "loop", "_src", "_targets",
+                 "_tag", "_tags", "_index", "_low", "_on", "_next_edge",
+                 "_clock")
+
+    def __init__(self, g: GameGraph, s: Strategy):
+        n = g.vertex_count
+        p0 = g.owners == PLAYER0
+        s_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(s._off))
+        g_src = g.edge_sources()
+        mine = p0[s_src]
+        theirs = ~p0[g_src]
+        src = np.concatenate((s_src[mine], g_src[theirs]))
+        ids = np.concatenate((s._order[mine], np.flatnonzero(theirs)))
+        by_source = np.argsort(src, kind="stable")
+        self._src = src[by_source]
+        self._targets = g.edge_targets[ids[by_source]]
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._src, minlength=n), out=off[1:])
+        loop = np.zeros(n, dtype=np.bool_)
+        loop[self._src[self._src == self._targets]] = True
+        self.off = off.tolist()
+        self.dst = self._targets.tolist()
+        self.player0 = p0.tolist()
+        self.loop = loop.tolist()
+        self._tag = [0] * n
+        self._tags = 0
+        self._index = [-1] * n
+        self._low = [0] * n
+        self._on = [False] * n
+        self._next_edge = [0] * n
+        self._clock = 0
+
+    def reach(self, g: GameGraph, start_ids) -> list[int]:
+        """Vertices reachable from start_ids.  Raises StrategyDomainError
+        at the first reached player-0 vertex without a move, in
+        depth-first order."""
+        off, dst, p0 = self.off, self.dst, self.player0
+        seen = [False] * len(p0)
+        for v in start_ids:
+            seen[v] = True
+        reached = list(start_ids)
+        stack = list(start_ids)
+        while stack:
+            v = stack.pop()
+            lo, hi = off[v], off[v + 1]
+            if p0[v] and lo == hi:
+                raise StrategyDomainError(
+                    "reachable player-0 vertex %s has no move" % g.name_of(v))
+            for t in dst[lo:hi]:
+                if not seen[t]:
+                    seen[t] = True
+                    reached.append(t)
+                    stack.append(t)
+        return reached
+
+    def _fresh_tag(self, vertices) -> int:
+        self._tags += 1
+        tag = self._tag
+        for v in vertices:
+            tag[v] = self._tags
+        return self._tags
+
+    def _components(self, part, mark: int) -> list[list[int]]:
+        """Strongly connected components of the subgraph induced by the
+        vertices tagged mark (iterative Tarjan, roots taken from part)."""
+        off, dst, tag = self.off, self.dst, self._tag
+        index, low, on, nxt = self._index, self._low, self._on, self._next_edge
+        base = clock = self._clock
+        trail: list[int] = []
+        comps: list[list[int]] = []
+        for root in part:
+            if index[root] >= base:
+                continue
+            index[root] = low[root] = clock
+            clock += 1
+            nxt[root] = off[root]
+            trail.append(root)
+            on[root] = True
+            work = [root]
+            while work:
+                v = work[-1]
+                i, end, lv = nxt[v], off[v + 1], low[v]
+                while i < end:
+                    t = dst[i]
+                    i += 1
+                    if tag[t] != mark:
+                        continue
+                    it = index[t]
+                    if it < base:
+                        nxt[v] = i
+                        low[v] = lv
+                        index[t] = low[t] = clock
+                        clock += 1
+                        nxt[t] = off[t]
+                        trail.append(t)
+                        on[t] = True
+                        work.append(t)
+                        break
+                    if on[t] and it < lv:
+                        lv = it
+                else:
+                    work.pop()
+                    low[v] = lv
+                    if lv == index[v]:
+                        comp = []
+                        while True:
+                            u = trail.pop()
+                            on[u] = False
+                            comp.append(u)
+                            if u == v:
+                                break
+                        comps.append(comp)
+                    if work and lv < low[work[-1]]:
+                        low[work[-1]] = lv
+        self._clock = clock
+        return comps
+
+    def closed_traps(self, part) -> list[list[int]]:
+        """The escape peel: the strongly connected player-0 traps within
+        the vertex list part.  Takes the SCCs (dropping single vertices
+        without a self-loop), removes the player-0 vertices with an
+        allowed edge leaving their SCC, and repeats on what is left; an
+        SCC without such a vertex is a trap.  Reads no priority."""
+        off, dst, p0, loop, tag = self.off, self.dst, self.player0, self.loop, self._tag
+        traps: list[list[int]] = []
+        queue = [part]
+        while queue:
+            part = queue.pop()
+            for comp in self._components(part, self._fresh_tag(part)):
+                if len(comp) == 1 and not loop[comp[0]]:
+                    continue
+                mark = self._fresh_tag(comp)
+                rest = []
+                for v in comp:
+                    if p0[v]:
+                        for t in dst[off[v]:off[v + 1]]:
+                            if tag[t] != mark:
+                                break
+                        else:
+                            rest.append(v)
+                    else:
+                        rest.append(v)
+                if len(rest) == len(comp):
+                    traps.append(comp)
+                elif rest:
+                    queue.append(rest)
+        return traps
+
+    def reach_back(self, targets) -> list[bool]:
+        """Membership list of the vertices with an allowed path to
+        targets (targets included), over a predecessor CSR."""
+        n = len(self.player0)
+        by_target = np.argsort(self._targets, kind="stable")
+        pred_off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._targets, minlength=n), out=pred_off[1:])
+        pred_off = pred_off.tolist()
+        pred_src = self._src[by_target].tolist()
+        hit = [False] * n
+        for v in targets:
+            hit[v] = True
+        stack = list(targets)
+        while stack:
+            v = stack.pop()
+            for u in pred_src[pred_off[v]:pred_off[v + 1]]:
+                if not hit[u]:
+                    hit[u] = True
+                    stack.append(u)
+        return hit
+
+
+def _bad_traps(graph: _AllowedGraph, traps, prio: list[int]):
+    """The priority step of one objective on the shared closed traps.
+
+    A trap with an odd top priority is bad, with pivot its least vertex
+    of that priority; from a trap with an even top priority the
+    top-priority vertices are removed and the rest is peeled again.
+    Returns (members, pivot) pairs.  Every trap that violates the
+    objective lies inside one of them, so reaching one is necessary
+    and sufficient for losing.
+    """
+    witnesses: list[tuple[list[int], int]] = []
+    queue = list(traps)
     while queue:
-        for comp in _components(succ, queue.pop()):
-            members = set(comp)
-            if len(comp) == 1 and comp[0] not in succ[comp[0]]:
-                continue
-            escaping = [v for v in comp
-                        if owners[v] == PLAYER0
-                        and any(t not in members for t in succ[v])]
-            if escaping:
-                rest = members.difference(escaping)
-                if rest:
-                    queue.append(rest)
-                continue
-            top = max(pf.of(v) for v in comp)
-            if top % 2 == 1:
-                bad |= members
-                pivot = min(v for v in comp if pf.of(v) == top)
-                witnesses.append((members, pivot))
-            else:
-                rest = {v for v in comp if pf.of(v) < top}
-                if rest:
-                    queue.append(rest)
-    return bad, witnesses
+        trap = queue.pop()
+        top = max(prio[v] for v in trap)
+        if top % 2 == 1:
+            witnesses.append((trap, min(v for v in trap if prio[v] == top)))
+        else:
+            rest = [v for v in trap if prio[v] < top]
+            if rest:
+                queue.extend(graph.closed_traps(rest))
+    return witnesses
 
 
-def _limit_lasso(succ, start: int, witnesses) -> Lasso:
-    """A lasso from start into a recorded trap, cycling through its
-    pivot; the cycle's maximal priority is the pivot's, which is odd."""
-    parent = {start: -1}
+def _limit_lasso(graph: _AllowedGraph, start: int, witnesses) -> Lasso:
+    """A lasso from start into the first recorded trap it reaches,
+    cycling through that trap's pivot; the cycle's maximal priority is
+    the pivot's, which is odd."""
+    off, dst = graph.off, graph.dst
+    parent = [-2] * len(graph.player0)
+    parent[start] = -1
     order = [start]
     i = 0
     while i < len(order):
         v = order[i]
         i += 1
-        for t in succ[v]:
-            if t not in parent:
+        for t in dst[off[v]:off[v + 1]]:
+            if parent[t] == -2:
                 parent[t] = v
                 order.append(t)
-    hit = next((w for w in witnesses if w[1] in parent), None)
+    hit = next((w for w in witnesses if parent[w[1]] != -2), None)
     if hit is None:
-        raise AssertionError("losing start does not reach any trap")
+        raise RuntimeError("losing start does not reach any trap")
     members, pivot = hit
 
     path = []
@@ -325,23 +426,24 @@ def _limit_lasso(succ, start: int, witnesses) -> Lasso:
         v = parent[v]
     prefix = path[::-1][:-1]
 
+    inside = set(members)
     back = {pivot: -1}
     q = [pivot]
     i = 0
     while i < len(q):
         v = q[i]
         i += 1
-        for t in succ[v]:
+        for t in dst[off[v]:off[v + 1]]:
             if t == pivot:
                 cyc = [v]
                 while back[v] != -1:
                     v = back[v]
                     cyc.append(v)
                 return Lasso(tuple(prefix), tuple(cyc[::-1]))
-            if t in members and t not in back:
+            if t in inside and t not in back:
                 back[t] = v
                 q.append(t)
-    raise AssertionError("trap pivot is not on a cycle")
+    raise RuntimeError("trap pivot is not on a cycle")
 
 
 def verify_strategy(g: GameGraph, s: Strategy, objectives,
@@ -352,42 +454,21 @@ def verify_strategy(g: GameGraph, s: Strategy, objectives,
     Decision: a start vertex loses an objective exactly when it reaches,
     along allowed edges, a strongly connected player-0 trap whose
     maximal priority is odd; the module docstring explains why those
-    traps are precisely the limit sets the rotation can be forced into.
-    On failure the verdict carries a lasso over allowed edges that
-    violates some objective.
+    traps are precisely the limit sets the rotation can be forced into,
+    and why one escape peel serves every objective.  On failure the
+    verdict carries a lasso over allowed edges that violates some
+    objective.
     """
     objectives, start_ids = _checked_args(g, s, objectives, start)
-    succ = _allowed_successors(g, s)
-    reach = _reachable_allowed(g, succ, start_ids)
-    owners = g.owners
-
-    preds: dict[int, list[int]] = {v: [] for v in reach}
-    for v in reach:
-        for t in succ[v]:
-            preds[t].append(v)
-
-    per_objective = []
-    for pf in objectives:
-        bad, witnesses = _bad_limit_sets(succ, owners, pf, reach)
-        losing = set(bad)
-        stack = list(bad)
-        while stack:
-            v = stack.pop()
-            for u in preds[v]:
-                if u not in losing:
-                    losing.add(u)
-                    stack.append(u)
-        per_objective.append((losing, witnesses))
-
-    winning = frozenset(v for v in start_ids
-                        if all(v not in losing for losing, _ in per_objective))
-    counterexample = None
-    for v in start_ids:
-        if v in winning:
-            continue
-        for losing, witnesses in per_objective:
-            if v in losing:
-                counterexample = _limit_lasso(succ, v, witnesses)
-                break
-        break
-    return Verdict(frozenset(start_ids), winning, counterexample)
+    graph = _AllowedGraph(g, s)
+    reach = graph.reach(g, start_ids)
+    traps = graph.closed_traps(reach)
+    witnesses = [w for pf in objectives
+                 for w in _bad_traps(graph, traps, pf.values.tolist())]
+    queried = frozenset(start_ids)
+    if not witnesses:
+        return Verdict(queried, queried, None)
+    losing = graph.reach_back([v for members, _ in witnesses for v in members])
+    winning = frozenset(v for v in start_ids if not losing[v])
+    first = next(v for v in start_ids if losing[v])
+    return Verdict(queried, winning, _limit_lasso(graph, first, witnesses))

@@ -3,8 +3,14 @@
 Reference code lives in oracle.py: production modules do not import it.
 The package namespace re-exports the oracle's solvers and the CLI offers
 them as commands, so __init__.py and cli.py are the two exceptions.
+
+Production modules import only the standard library, numpy and the
+package itself: every `pgt` command pays for its imports before it reads
+its input, and a heavy import (scipy.sparse.csgraph adds about 33 MB and
+0.6 s) would show in the benchmark's setup time and peak memory.
 """
 import ast
+import sys
 from pathlib import Path
 
 import pgtemplates
@@ -23,6 +29,17 @@ def _imported_modules(path):
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name
+
+
+def _top_level_imports(path):
+    """First components of the absolute imports of a module, wherever
+    they occur in it (relative imports are the package's own)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
 
 
 def _names_oracle(module):
@@ -46,3 +63,13 @@ def test_every_exported_name_resolves():
                if not hasattr(pgtemplates, name)]
     assert missing == []
     assert len(set(pgtemplates.__all__)) == len(pgtemplates.__all__)
+
+
+def test_production_modules_import_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pgtemplates"}
+    found = {path.name: set(_top_level_imports(path))
+             for path in PACKAGE.glob("*.py")}
+    offenders = sorted((name, module) for name, modules in found.items()
+                       for module in modules - allowed)
+    assert offenders == []
+    assert "numpy" in found["graph.py"]
