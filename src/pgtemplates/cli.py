@@ -10,6 +10,8 @@ import re
 import sys
 import time
 
+import numpy as np
+
 from .compose import ComposeState, add_objective, compose_templates
 from .fault import (CSV_HEADER, FaultStats, fault_correction, gaf_tolerant,
                     simulate_fault_conflicts)
@@ -51,6 +53,14 @@ def _vertex_list(g: GameGraph, mask) -> str:
     names = g.names
     return " ".join(map(str if names is None else names.__getitem__,
                         mask.nonzero()[0].tolist()))
+
+
+def _id_mask(g: GameGraph, ids) -> np.ndarray:
+    """Boolean mask of a collection of vertex ids the program produced;
+    unlike GameGraph.mask_of it does not check them one by one."""
+    mask = np.zeros(g.vertex_count, dtype=np.bool_)
+    mask[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
+    return mask
 
 
 _EDGE_ARG = re.compile(r"[ ,\t]*" + _EDGE_RE.pattern)
@@ -148,9 +158,9 @@ def _cmd_verify(args) -> int:
         start = _vertex_args(g, args.start)
     verdict = verify_strategy(g, s, objectives, start=start)
     if verdict.is_winning:
-        print("winning from: " + _vertex_list(g, g.mask_of(verdict.queried)))
+        print("winning from: " + _vertex_list(g, _id_mask(g, verdict.queried)))
         return 0
-    print("not winning from: " + _vertex_list(g, g.mask_of(verdict.losing_from)))
+    print("not winning from: " + _vertex_list(g, _id_mask(g, verdict.losing_from)))
     lasso = verdict.counterexample
     if lasso is not None:
         print("counterexample prefix: " + " ".join(g.name_of(v) for v in lasso.prefix))
@@ -167,7 +177,7 @@ def _cmd_fault(args) -> int:
         if ok:
             print("tolerant: every region vertex keeps a usable edge")
             return 0
-        print("vulnerable at: " + _vertex_list(g, g.mask_of(offenders)))
+        print("vulnerable at: " + _vertex_list(g, _id_mask(g, offenders)))
         return 4
     pf = _pick_objective(objectives, args.objective)
     adapted = fault_correction(g, pf, t, faulty)

@@ -321,21 +321,27 @@ def emit_game(g: GameGraph, objectives) -> str:
     for pf in objectives:
         if len(pf) != g.vertex_count:
             raise ValueError("priority function does not cover the vertex set")
-    k = len(objectives)
-    if k == 1:
-        lines = ["parity %d;" % (g.vertex_count - 1)]
+    n = g.vertex_count
+    if len(objectives) == 1:
+        header = "parity %d;" % (n - 1)
+        prios = list(map(str, objectives[0].values.tolist()))
     else:
-        lines = ["genparity %d %d;" % (g.vertex_count - 1, k)]
-    for v in g.vertices():
-        prios = ",".join(str(pf.of(v)) for pf in objectives)
-        succs = ",".join(str(int(t)) for t in g.successors(v))
-        name = ""
-        if g.names is not None:
-            label = g.names[v]
-            if '"' in label or any(ord(c) > 127 for c in label):
+        header = "genparity %d %d;" % (n - 1, len(objectives))
+        rows = np.stack([pf.values for pf in objectives], axis=1).tolist()
+        prios = [",".join(map(str, row)) for row in rows]
+    dst = list(map(str, g.edge_targets.tolist()))
+    off = g.succ_offsets().tolist()
+    succs = [",".join(dst[off[v]:off[v + 1]]) for v in range(n)]
+    if g.names is None:
+        names = [""] * n
+    else:
+        for label in g.names:
+            if '"' in label or not label.isascii():
                 raise ValueError("vertex name %r not serializable" % label)
-            name = ' "%s"' % label
-        lines.append("%d %s %d %s%s;" % (v, prios, g.owner_of(v), succs, name))
+        names = [' "%s"' % label for label in g.names]
+    lines = [header]
+    lines.extend("%d %s %d %s%s;" % row for row in
+                 zip(range(n), prios, g.owners.tolist(), succs, names))
     return "\n".join(lines) + "\n"
 
 

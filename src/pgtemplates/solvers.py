@@ -17,6 +17,7 @@ import numpy as np
 
 from .graph import GameGraph, PLAYER0, PLAYER1, PriorityFunction
 from .template import StrategyTemplate
+from . import transformers
 from .transformers import (_attractor, _range_ids, _restricted_degrees,
                            attr_mask, cpre_mask)
 
@@ -126,7 +127,10 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
     the set), resumed from each frontier in turn: the frontier is the
     touched player-0 vertices still outside the set.  Over the whole
     call every edge is counted once and scanned at most once for a
-    group, so it costs O(n + m) however many layers there are.
+    group, so it costs O(n + m) however many layers there are.  Like the
+    kernel's rounds, a layer with fewer than _SCALAR_LIMIT touched
+    entries is taken by a scalar step (a Python set, sorted) and larger
+    ones with numpy; both give the same group.
 
     Requires that player 0 can attract the whole (restricted) graph to
     the goal; raises ValueError when the iteration stalls short of that.
@@ -137,7 +141,7 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
     off = g.succ_offsets()
     dst = g.edge_targets
     owners = g.owners
-    touched: list[np.ndarray] = []
+    touched: list = []
     frontier = np.flatnonzero(a)
     outside = int(universe.sum()) - frontier.size
     groups: list[np.ndarray] = []
@@ -145,20 +149,27 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
         outside -= _attractor(g, a, counter, frontier, universe, touched)
         if outside == 0:
             return groups
-        b = (np.unique(np.concatenate(touched)) if touched
-             else np.empty(0, np.int64))
-        touched.clear()
         # a touched player-1 vertex joins only once all of its edges
         # lead into the set, and the kernel adds it itself then
-        b = b[~a[b] & (owners[b] == PLAYER0)]
-        if b.size == 0:
+        if sum(map(len, touched)) < transformers._SCALAR_LIMIT:
+            b = [v for v in sorted(set().union(*touched))
+                 if not a[v] and owners[v] == PLAYER0]
+            ids = np.array([e for v in b for e in range(off[v], off[v + 1])
+                            if a[dst[e]]], dtype=np.int64)
+        else:
+            b = (np.unique(np.concatenate(touched)) if touched
+                 else np.empty(0, np.int64))
+            b = b[~a[b] & (owners[b] == PLAYER0)]
+            ids = _range_ids(off, b)
+            ids = ids[a[dst[ids]]]
+        touched.clear()
+        if len(b) == 0:
             raise ValueError(
                 "reach_template: goal is not player-0 attractable from the "
                 "whole graph; restrict to the attractor first")
-        ids = _range_ids(off, b)
-        groups.append(ids[a[dst[ids]]])
+        groups.append(ids)
         a[b] = True
-        outside -= b.size
+        outside -= len(b)
         frontier = b
 
 

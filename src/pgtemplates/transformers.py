@@ -24,16 +24,35 @@ added to it, and leaves the counters where they stopped.  A caller may
 therefore add vertices to the set itself and resume the kernel from
 them with the same counters; the result is the closure of everything
 added so far, at O(n + m) over all resumptions together.  When given a
-``touched`` list, the kernel appends to it, once per round, the
-vertices whose counter fell without reaching zero, so that every vertex
-it leaves outside the set with a (restricted) edge into the set is
-listed at least once (a listed vertex may still join later).
+``touched`` list, the kernel appends to it, at most once per round, the
+vertices whose counter fell without reaching zero (an int64 array, or a
+non-empty list of ints), so that every vertex it leaves outside the set
+with a (restricted) edge into the set is listed at least once (a listed
+vertex may still join later).
+
+A round runs in one of two forms, chosen from its frontier size.  A
+large frontier takes one numpy round: gather the predecessors, count
+them with ``np.unique`` and subtract the counts.  A small one takes a
+scalar round that walks each frontier vertex's predecessor list and
+decrements counters one edge at a time; a vertex joins as soon as its
+counter reaches zero and the round's later edges skip it.  Deep graphs
+run thousands of rounds that each move a vertex or two, where numpy's
+per-call dispatch would cost far more than the work.  Both forms
+compute the same closure and leave the same counters on every vertex
+outside the set, which is what a resumption reads; counters of vertices
+inside the set may differ, and nothing reads them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .graph import GameGraph, PLAYER0, PLAYER1
+
+
+# Attractor rounds whose frontier, and reach_template layers whose
+# touched list, hold fewer vertices than this run as scalar Python
+# steps: below it numpy's per-call dispatch costs more than the work.
+_SCALAR_LIMIT = 32
 
 
 def _check_player(player: int) -> None:
@@ -105,25 +124,51 @@ def cpre_mask(g: GameGraph, u: np.ndarray, player: int,
 
 
 def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
-               frontier: np.ndarray, universe: np.ndarray | None,
+               frontier, universe: np.ndarray | None,
                touched: list | None = None) -> int:
     """Counter-based worklist shared by every attractor; returns how
     many vertices joined.
 
     counter[v] is how many of v's (restricted) edges must lead into the
-    set before v joins it.  The frontier holds vertices already in
-    in_a whose predecessors have not been counted yet.  Each round
-    decrements the counters of the frontier's predecessors once per
-    edge and adds those that reach zero to in_a, in place, so every
-    edge is inspected a constant number of times and a call costs
-    O(n + m); a round touches only the frontier's edges, not all n
-    counters.  The rest of each round's counted predecessors go to
-    ``touched`` when given.
+    set before v joins it.  The frontier (an id array or list) holds
+    vertices already in in_a whose predecessors have not been counted
+    yet.  Each round decrements the counters of the frontier's
+    predecessors once per edge and adds those that reach zero to in_a,
+    in place, so every edge is inspected a constant number of times and
+    a call costs O(n + m); a round touches only the frontier's edges,
+    not all n counters.  The rest of each round's counted predecessors
+    go to ``touched`` when given.
+
+    A frontier of fewer than _SCALAR_LIMIT vertices runs as a scalar
+    round over the predecessor lists, which skips a vertex for the rest
+    of the round once it joins; larger ones run as one numpy round.
+    Both add the same vertices and leave the same counters on the
+    vertices outside the set.
     """
     poff, psrc = g.pred_csr()
     joined = 0
-    while frontier.size:
-        preds = _gather_ranges(poff, psrc, frontier)
+    while len(frontier):
+        if len(frontier) < _SCALAR_LIMIT:
+            nxt = []
+            fell = []
+            for v in frontier:
+                for u in psrc[poff[v]:poff[v + 1]].tolist():
+                    if in_a[u] or (universe is not None and not universe[u]):
+                        continue
+                    counter[u] -= 1
+                    if counter[u] <= 0:
+                        in_a[u] = True
+                        nxt.append(u)
+                    else:
+                        fell.append(u)
+            if touched is not None:
+                fell = [u for u in fell if not in_a[u]]
+                if fell:
+                    touched.append(fell)
+            frontier = nxt
+            joined += len(nxt)
+            continue
+        preds = _gather_ranges(poff, psrc, np.asarray(frontier))
         if universe is not None:
             preds = preds[universe[preds]]
         preds = preds[~in_a[preds]]

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from pgtemplates import (ParseError, PriorityFunction, StrategyTemplate,
+from pgtemplates import (GameGraph, ParseError, PriorityFunction, StrategyTemplate,
                          emit_game, extract_strategy, generate,
                          GeneratorConfig, parse_game, parse_strategy,
                          parse_template, strategy_text, template_text)
@@ -80,6 +82,14 @@ def test_emit_rejects_unserializable():
         emit_game(g, [])
     with pytest.raises(ValueError, match="cover"):
         emit_game(g, [PriorityFunction([0])])
+    pf = PriorityFunction([0] * g.vertex_count)
+    for label in ('say "hi"', "caf\u00e9"):
+        names = ["v%d" % v for v in g.vertices()]
+        names[3] = label
+        named = GameGraph(g.owners, g.succ_offsets(), g.edge_targets, names)
+        with pytest.raises(ValueError, match=re.escape(
+                "vertex name %r not serializable" % label)):
+            emit_game(named, [pf])
 
 
 @pytest.mark.parametrize("text,msg,line,col", [

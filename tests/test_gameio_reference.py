@@ -1,10 +1,12 @@
 """Differential test of the bulk text parsers against the per-line
-reference parsers they replaced.
+reference parsers they replaced, and of the bulk game renderer against
+the per-vertex one.
 
 The reference walks each line with a cursor and resolves every token on
 its own, with its own edge index; the bulk parsers in pgtemplates.gameio
 must agree with it on every text: the same value, or the same ParseError
-(message, line and column).
+(message, line and column).  ``emit_game`` must render every game byte
+for byte as ``emit_game_reference`` does, or raise the same ValueError.
 """
 import re
 
@@ -319,6 +321,34 @@ def _texts(seed, n, named):
     return g, game, template_text(t), s and strategy_text(s)
 
 
+# -- reference: the per-vertex game renderer ---------------------------------
+
+
+def emit_game_reference(g, objectives):
+    objectives = list(objectives)
+    if not objectives:
+        raise ValueError("need at least one objective")
+    for pf in objectives:
+        if len(pf) != g.vertex_count:
+            raise ValueError("priority function does not cover the vertex set")
+    k = len(objectives)
+    if k == 1:
+        lines = ["parity %d;" % (g.vertex_count - 1)]
+    else:
+        lines = ["genparity %d %d;" % (g.vertex_count - 1, k)]
+    for v in g.vertices():
+        prios = ",".join(str(pf.of(v)) for pf in objectives)
+        succs = ",".join(str(int(t)) for t in g.successors(v))
+        name = ""
+        if g.names is not None:
+            label = g.names[v]
+            if '"' in label or any(ord(c) > 127 for c in label):
+                raise ValueError("vertex name %r not serializable" % label)
+            name = ' "%s"' % label
+        lines.append("%d %s %d %s%s;" % (v, prios, g.owner_of(v), succs, name))
+    return "\n".join(lines) + "\n"
+
+
 # -- input 1: generator output ---------------------------------------------------
 
 
@@ -327,6 +357,7 @@ def _texts(seed, n, named):
 def test_generator_texts_round_trip_under_both_parsers(seed, n, named):
     g, objectives = _game(seed, n, named)
     game = emit_game(g, objectives)
+    assert game == emit_game_reference(g, objectives)
     _, (g2, objectives2) = agree(
         parse_game, ref_parse_game, game,
         same=lambda a, b: a[0] == b[0] and a[1] == b[1])

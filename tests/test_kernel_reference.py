@@ -1,6 +1,10 @@
 """Differential checks of the attractor kernel, reach_template and the
 conflict check against the implementations they replaced.
 
+The kernel and reach_template run small rounds and layers as scalar
+steps and large ones with numpy; the kernel checks run every case with
+all steps forced onto each form and with the two mixed (see ``FORMS``).
+
 The references below are the earlier code, kept verbatim apart from
 their names: two separate worklist loops for attr and uattr, a
 reach_template that re-runs uattr and a full-edge cpre for every
@@ -10,15 +14,20 @@ time with a length-n bincount each.  Both now speak the template's
 live-group format: reach_template gives one edge-id array per layer, and
 a starved vertex maps to the indices of its groups.
 """
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgtemplates import (ConflictReport, StrategyTemplate, conjoin,
-                         find_conflicts, parity_template, reach_template)
+                         find_conflicts, parity_template, reach_template,
+                         transformers)
 from pgtemplates.graph import PLAYER0
-from pgtemplates.transformers import (_gather_ranges, _restricted_degrees,
-                                      attr_mask, cpre_mask, uattr_mask)
+from pgtemplates.transformers import (_attractor, _gather_ranges,
+                                      _restricted_degrees, attr_mask,
+                                      cpre_mask, uattr_mask)
 from conftest import rand_game
 
 
@@ -147,25 +156,93 @@ def assert_unchanged(masks, kept):
             assert np.array_equal(mask, copy)
 
 
+# _SCALAR_LIMIT values that force every kernel round and reach_template
+# layer onto the numpy form (0) or the scalar form (above any n drawn),
+# or mix the two within one call (4); the differential tests run each
+# case under all three
+ALL_NUMPY = 0
+MIXED = 4
+ALL_SCALAR = 1 << 30
+FORMS = (ALL_NUMPY, MIXED, ALL_SCALAR)
+
+
+@contextmanager
+def scalar_limit(limit):
+    """Context in which steps of fewer than ``limit`` vertices are scalar.
+
+    A context rather than the monkeypatch fixture, which hypothesis does
+    not reset between examples.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transformers, "_SCALAR_LIMIT", limit)
+        yield
+
+
 @settings(deadline=None, max_examples=300)
 @given(game_and_masks(), st.integers(0, 1))
 def test_attr_mask_matches_reference(case, player):
     g, target, universe = case
+    want = attr_mask_reference(g, target, player, universe)
     kept = copies(target, universe)
-    got = attr_mask(g, target, player, universe)
-    assert_unchanged([target, universe], kept)
-    assert np.array_equal(got,
-                          attr_mask_reference(g, target, player, universe))
+    for limit in FORMS:
+        with scalar_limit(limit):
+            got = attr_mask(g, target, player, universe)
+        assert_unchanged([target, universe], kept)
+        assert np.array_equal(got, want)
 
 
 @settings(deadline=None, max_examples=300)
 @given(game_and_masks())
 def test_uattr_mask_matches_reference(case):
     g, target, universe = case
+    want = uattr_mask_reference(g, target, universe)
     kept = copies(target, universe)
-    got = uattr_mask(g, target, universe)
-    assert_unchanged([target, universe], kept)
-    assert np.array_equal(got, uattr_mask_reference(g, target, universe))
+    for limit in FORMS:
+        with scalar_limit(limit):
+            got = uattr_mask(g, target, universe)
+        assert_unchanged([target, universe], kept)
+        assert np.array_equal(got, want)
+
+
+def resumed(g, target, extra, universe, limit):
+    """uattr closure of target, then of the extra vertices added to it,
+    by resuming the kernel with the same counters."""
+    inside = np.ones(g.vertex_count, dtype=np.bool_) if universe is None else universe
+    counter = _restricted_degrees(g, universe)
+    in_a = target & inside
+    touched = []
+    with scalar_limit(limit):
+        _attractor(g, in_a, counter, np.flatnonzero(in_a), universe, touched)
+        more = extra & inside & ~in_a
+        in_a |= more
+        _attractor(g, in_a, counter, np.flatnonzero(more), universe, touched)
+    return in_a, counter, touched
+
+
+@settings(deadline=None, max_examples=300)
+@given(game_and_masks(), st.data())
+def test_resumed_attractor_counters_agree_across_forms(case, data):
+    # counters of vertices left outside the set are what a resumption
+    # reads, so both forms and any mix of them must leave them equal
+    g, target, universe = case
+    n = g.vertex_count
+    extra = g.mask_of(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+    want = uattr_mask_reference(g, target | extra, universe)
+    src = g.edge_sources()
+    dst = g.edge_targets
+    ok = np.ones(g.edge_count, dtype=np.bool_) if universe is None else (
+        universe[src] & universe[dst])
+    results = [resumed(g, target, extra, universe, limit)
+               for limit in FORMS]
+    for in_a, counter, touched in results:
+        assert np.array_equal(in_a, want)
+        assert np.array_equal(counter[~in_a], results[0][1][~in_a])
+        # every vertex left outside with an edge into the set is listed
+        listed = np.zeros(n, dtype=np.bool_)
+        for ids in touched:
+            listed[np.asarray(ids, dtype=np.int64)] = True
+        into = ok & ~in_a[src] & in_a[dst]
+        assert listed[src[into]].all()
 
 
 @st.composite
@@ -190,10 +267,26 @@ def outcome(fn, g, goal, universe):
 @given(reach_cases())
 def test_reach_template_matches_reference(case):
     g, goal, universe = case
+    want = outcome(reach_template_reference, g, goal, universe)
     kept = copies(goal, universe)
-    got = outcome(reach_template, g, goal, universe)
-    assert_unchanged([goal, universe], kept)
-    assert got == outcome(reach_template_reference, g, goal, universe)
+    for limit in FORMS:
+        with scalar_limit(limit):
+            got = outcome(reach_template, g, goal, universe)
+        assert_unchanged([goal, universe], kept)
+        assert got == want
+
+
+def test_reach_template_mixes_forms_on_pinned_games():
+    # games on which a layer was once taken by the numpy step after a
+    # scalar round had listed no touched vertex, which turned the
+    # layer's ids into floats
+    for seed in (7, 501, 952, 974, 1543):
+        g, _ = rand_game(seed, 40, 1)
+        goal = np.random.default_rng(seed).random(g.vertex_count) < 0.1
+        universe = attr_mask(g, goal, PLAYER0)
+        want = outcome(reach_template_reference, g, goal, universe)
+        with scalar_limit(MIXED):
+            assert outcome(reach_template, g, goal, universe) == want
 
 
 @settings(deadline=None, max_examples=150)

@@ -115,30 +115,43 @@ def test_reach_template_reads_universe_as_ids_or_mask():
 
 def test_reach_template_work_is_linear_on_a_chain(monkeypatch):
     # vertex i may step back to i-1 or wait, so every vertex is its own
-    # layer; re-running the closures per layer would gather Θ(L·m)
+    # layer; re-running the closures per layer would scan Θ(L·m) entries
     length = 3000
     g = GameGraph.from_lists([0] * length,
                              [[0]] + [[i - 1, i] for i in range(1, length)])
     calls = {"_restricted_degrees": 0, "uattr_mask": 0, "cpre_mask": 0}
-    gathered = []
+    scanned = [0]
     inside = []
+
+    class Scanned(np.ndarray):
+        """Counts the entries read through indexing inside the call."""
+
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            if inside:
+                scanned[0] += np.size(out)
+            return out.view(np.ndarray) if isinstance(out, np.ndarray) else out
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
             if inside:
-                if name == "_range_ids":
-                    gathered.append(out.size)
-                else:
-                    calls[name] += 1
-            return out
+                calls[name] += 1
+            return fn(*args, **kwargs)
         return wrapper
 
     for module in (transformers, solvers):
-        for name in ("_range_ids", *calls):
+        for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
+    # the predecessor lists the kernel walks and the successor targets
+    # the layer step reads, in either round form
+    pred_csr = GameGraph.pred_csr
+    monkeypatch.setattr(GameGraph, "pred_csr", lambda self: (
+        pred_csr(self)[0], pred_csr(self)[1].view(Scanned)))
+    targets = GameGraph.edge_targets.fget
+    monkeypatch.setattr(GameGraph, "edge_targets", property(
+        lambda self: targets(self).view(Scanned)))
     real = solvers.reach_template
 
     def traced(*args, **kwargs):
@@ -149,11 +162,19 @@ def test_reach_template_work_is_linear_on_a_chain(monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(solvers, "reach_template", traced)
-    res = solvers.buchi_template(g, [0])
-    assert res.w0_mask.all()
-    assert len(res.template.live_groups) == length - 1
-    assert calls == {"_restricted_degrees": 1, "uattr_mask": 0, "cpre_mask": 0}
-    assert sum(gathered) <= 2 * g.edge_count
+    # force every kernel round and layer onto the numpy form, then onto
+    # the scalar form
+    for limit in (0, length + 1):
+        monkeypatch.setattr(transformers, "_SCALAR_LIMIT", limit)
+        scanned[0] = 0
+        res = solvers.buchi_template(g, [0])
+        assert res.w0_mask.all()
+        assert len(res.template.live_groups) == length - 1
+        assert calls == {"_restricted_degrees": 1, "uattr_mask": 0,
+                         "cpre_mask": 0}
+        calls.update(dict.fromkeys(calls, 0))
+        # every predecessor list once, every layer's successors once
+        assert g.edge_count <= scanned[0] <= 2 * g.edge_count
 
 
 def test_cobuchi_win_and_template(g6):
