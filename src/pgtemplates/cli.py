@@ -27,7 +27,9 @@ from .template import ConflictError
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
+    """The text of a file, one character per byte, so that the parsers
+    report the line and column of a non-ASCII byte."""
+    with open(path, "r", encoding="latin-1") as fh:
         return fh.read()
 
 

@@ -11,13 +11,25 @@ Owner 0 is the protagonist.  Lines whose first non-blank character is
 are renumbered densely in ascending id order and emit always writes
 that normal form, so emit(parse(text)) is a fixpoint after one round.
 
-Parsing works on whole texts and arrays: one ASCII check, one
-precompiled fullmatch per line, one numpy conversion for all numeric
-tokens and vectorized checks over the resulting arrays.  Errors carry
-1-based line and column positions, taken from the match offsets, and
-are reported in the order a line-by-line reading meets them.  Only a
-line that its pattern rejects is walked again by a cursor (_Scanner),
-to find the column where it goes wrong.
+Game and template texts in the normal form, as emit_game and
+template_text write them (single spaces, no comments or blank lines,
+game records with ids 0..n-1 in order and no names, templates of a
+graph without names), are read in one pass over the whole text: one
+fullmatch of all game records, or of each template section, and one
+numpy conversion of all their numbers; where each game record starts
+in that array comes from the byte positions of its commas and
+newlines.  Any other text, and any text that fails a check (a line
+outside the normal form, a number beyond 64 bits, a successor without a
+record, a repeated edge, an unknown vertex or edge), goes to the
+line-by-line parsers, which are the only source of ParseErrors.
+
+The line-by-line parsers also work on whole texts and arrays: one
+ASCII check, one precompiled fullmatch per line, one numpy conversion
+for all numeric tokens and vectorized checks over the resulting arrays.
+Errors carry 1-based line and column positions, taken from the match
+offsets, and are reported in the order a line-by-line reading meets
+them.  Only a line that its pattern rejects is walked again by a cursor
+(_Scanner), to find the column where it goes wrong.
 """
 from __future__ import annotations
 
@@ -119,6 +131,14 @@ def _int_array(joined: str) -> np.ndarray:
     return vals
 
 
+def _numbers(joined: str, sep: str) -> np.ndarray:
+    """Validated decimal numbers between single separators as int64,
+    none for the empty string."""
+    if not joined:
+        return np.zeros(0, dtype=np.int64)
+    return np.fromstring(joined, dtype=np.int64, sep=sep)
+
+
 def _counts(fields: Sequence[str]) -> np.ndarray:
     """Number of comma-separated items in each field."""
     return np.fromiter(map(str.count, fields, repeat(",")), dtype=np.int64,
@@ -151,6 +171,8 @@ _HEADER = re.compile(r"[ \t]*(?:parity[ \t]*([0-9]+)"
 _RECORD = re.compile(r"[ \t]*([0-9]+)(?![0-9])[ \t]*([0-9]+(?:,[0-9]+)*)(?!,?[0-9])"
                      r"[ \t]*([01])[ \t]*([0-9]+(?:,[0-9]+)*)(?!,?[0-9])"
                      r"[ \t]*(?:\"([^\"]*)\"[ \t]*)?;[ \t]*")
+_CANONICAL_HEADER = re.compile(r"(?:parity ([0-9]+)|genparity ([0-9]+) ([0-9]+));\n")
+_RECORD_COMMAS = str.maketrans(" \n", ",,", ";")
 
 
 def _header_error(raw: str, lineno: int) -> NoReturn:
@@ -185,6 +207,15 @@ def _parse_header(raw: str, lineno: int) -> tuple[int, int]:
     return int(m.group(2)), k
 
 
+def _check_priorities(prios: str, lineno: int, col: int) -> None:
+    """Every number of a priority list at the given column fits in 64
+    bits."""
+    for token in prios.split(","):
+        if int(token) > _INT64_MAX:
+            raise ParseError("priority %d does not fit in 64 bits" % int(token), lineno, col)
+        col += len(token) + 1
+
+
 def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
     """Walk a record line the record pattern rejected, making the checks
     a line-by-line reading makes on the way."""
@@ -199,10 +230,12 @@ def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
         s.error("duplicate record for vertex %d" % vid)
     s.skip_ws()
     pcol = s.pos + 1
-    got = s.take(r"\d+(?:,\d+)*", "priority list").group(0).count(",") + 1
+    prios = s.take(r"\d+(?:,\d+)*", "priority list").group(0)
+    got = prios.count(",") + 1
     if got != k:
         raise ParseError("expected %d comma-separated priorities, got %d" % (k, got),
                          lineno, pcol)
+    _check_priorities(prios, lineno, pcol)
     s.skip_ws()
     s.take(r"[01]", "owner (0 or 1)")
     s.skip_ws()
@@ -216,13 +249,17 @@ def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
     _accepted(lineno)
 
 
-def _check_records(lines, linenos, vids, prio_fields, max_id: int, k: int) -> None:
+def _check_records(lines, linenos, vids, prio_f, prios, max_id: int, k: int) -> None:
     """The per-record checks, in line order: id within the declared
-    maximum, no second record for an id, k priorities."""
+    maximum, no second record for an id, k priorities, each of which
+    fits in 64 bits."""
     dup = np.ones(len(vids), dtype=np.bool_)
     dup[np.unique(vids, return_index=True)[1]] = False
-    nprio = _counts(prio_fields)
-    bad = np.flatnonzero((vids > max_id) | dup | (nprio != k))
+    nprio = _counts(prio_f)
+    big = np.zeros(len(vids), dtype=np.bool_)
+    if prios.dtype == object:
+        big[np.repeat(np.arange(len(vids)), nprio)[prios > _INT64_MAX]] = True
+    bad = np.flatnonzero((vids > max_id) | dup | (nprio != k) | big)
     if not bad.size:
         return
     r = int(bad[0])
@@ -235,12 +272,105 @@ def _check_records(lines, linenos, vids, prio_fields, max_id: int, k: int) -> No
                          lineno, col)
     if dup[r]:
         raise ParseError("duplicate record for vertex %d" % vid, lineno, col)
-    raise ParseError("expected %d comma-separated priorities, got %d"
-                     % (k, nprio[r]), lineno, m.start(2) + 1)
+    if nprio[r] != k:
+        raise ParseError("expected %d comma-separated priorities, got %d"
+                         % (k, nprio[r]), lineno, m.start(2) + 1)
+    _check_priorities(m.group(2), lineno, m.start(2) + 1)
+
+
+def _game_of_records(vids, prios, owners, deg, targets, name_f):
+    """The graph and objectives of records that passed the per-record
+    checks, given as arrays in record order (ids, priorities, owners,
+    successor counts, all successors) and names: ((graph, objectives),
+    None).  When a successor has no record or repeats an edge,
+    (None, (record, message)) for the first such successor in ascending
+    id order instead."""
+    n = len(vids)
+    if np.array_equal(vids, np.arange(n)):  # dense ids in order: nothing to renumber
+        order = np.arange(n)
+        missing = targets >= n
+        dst = (targets if targets.dtype == np.int64
+               else np.where(missing, 0, targets).astype(np.int64))
+    else:  # dense ids in ascending id order; successors laid out in that order
+        order = np.argsort(vids, kind="stable")
+        ids = vids[order]
+        targets = targets[_regroup(deg, order)]
+        deg = deg[order]
+        dst = np.minimum(np.searchsorted(ids, targets), n - 1).astype(np.int64)
+        missing = ids[dst] != targets
+    off = _offsets(deg)
+    keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + dst
+    bad = np.flatnonzero(missing)
+    keys[bad] = -1 - bad
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():  # where they are, only if there are any
+        by_key = np.argsort(keys, kind="stable")
+        bad = np.concatenate([bad, by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]])
+    if bad.size:
+        pos = int(bad.min())
+        u = int(np.searchsorted(off, pos, side="right")) - 1
+        if missing[pos]:
+            return None, (int(order[u]), "successor %d has no record" % targets[pos])
+        return None, (int(order[u]), "duplicate edge (%d, %d)" % (u, dst[pos]))
+
+    owners = owners[order]
+    names = None
+    if name_f is not None and name_f.count(None) < n:
+        names = [name_f[r] if name_f[r] is not None else str(vids[r])
+                 for r in order.tolist()]
+    g = GameGraph(owners, off, dst, names)
+    prios = prios.reshape(n, -1)[order]
+    return (g, [PriorityFunction(prios[:, i]) for i in range(prios.shape[1])]), None
+
+
+def _canonical_game(text: str):
+    """parse_game of a text in the normal form emit_game writes, in one
+    pass over the whole text: single spaces, no comments, blank lines or
+    names, ids 0..n-1 in order.  None for any other text, and for a text
+    with an error, which the per-line path reports."""
+    head = _CANONICAL_HEADER.match(text)
+    if head is None:
+        return None
+    max_id, k = int(head.group(1) or head.group(2)), int(head.group(3) or 1)
+    start = head.end()
+    # every line after the header is a record; [0-9,]+ is the faster
+    # pattern for the successors, and the finds rule out a successor
+    # list that starts, ends or doubles a comma
+    if (not 1 <= k <= len(text)
+            or not re.compile(r"(?:[0-9]+ [0-9]+(?:,[0-9]+){%d} [01] [0-9,]+;\n)+"
+                              % (k - 1)).fullmatch(text, start)
+            or ",," in text or " ," in text or ",;" in text):
+        return None
+    # the numbers of all records: id, k priorities, owner, successors
+    nums = np.fromstring(text[start:-1].translate(_RECORD_COMMAS), dtype=np.int64, sep=",")
+    if nums.max() == _INT64_MAX:  # a number too long for 64 bits saturates
+        return None
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # numbers per record: its commas and three spaces, plus one
+    commas = np.searchsorted(np.flatnonzero(chars == ord(",")),
+                             np.flatnonzero(chars == ord("\n"))[1:])
+    size = np.diff(commas, prepend=0) + 4
+    first = _offsets(size)[:-1]
+    n = len(first)
+    if n - 1 > max_id or not np.array_equal(nums[first], np.arange(n)):
+        return None
+    fields = first[:, None] + np.arange(k + 2)  # id, priorities, owner
+    succ = np.ones(len(nums), dtype=np.bool_)
+    succ[fields] = False
+    return _game_of_records(nums[first], nums[fields[:, 1:-1]].ravel(),
+                            nums[fields[:, -1]].astype(np.int8), size - k - 2,
+                            nums[succ], None)[0]
 
 
 def parse_game(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
     """Parse a parity/genparity file into a graph and its objectives."""
+    parsed = _canonical_game(text)
+    return parsed if parsed is not None else _parse_game_lines(text)
+
+
+def _parse_game_lines(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
+    """parse_game line by line: any text, and the only source of its
+    ParseErrors."""
     body, bad_char = _ascii_prefix(text)
     lines = body.split("\n")
     # id, priorities, owner, successors and name of every record line
@@ -266,7 +396,8 @@ def parse_game(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
         vid_f, prio_f, owner_f, succ_f, name_f = zip(*filter(None, fields[:stop]))
         del fields
         vids = _int_array(",".join(vid_f))
-        _check_records(lines, linenos, vids, prio_f, *header)
+        prios = _int_array(",".join(prio_f))
+        _check_records(lines, linenos, vids, prio_f, prios, *header)
     if rejected is not None:
         seen = set(vids.tolist()) if linenos else set()
         _record_error(lines[rejected - 1], rejected, *header, seen)
@@ -277,40 +408,15 @@ def parse_game(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
     if not linenos:
         raise ParseError("no vertex records", 1, 1)
 
-    # dense ids in ascending id order; successors laid out in that order
-    order = np.argsort(vids, kind="stable")
-    ids = vids[order]
-    n = len(ids)
-    deg = _counts(succ_f)
-    flat = _regroup(deg, order)
-    targets = _int_array(",".join(succ_f))[flat]
-    dst = np.minimum(np.searchsorted(ids, targets), n - 1).astype(np.int64)
-    missing = ids[dst] != targets
-    off = _offsets(deg[order])
-    keys = np.repeat(np.arange(n, dtype=np.int64), deg[order]) * n + dst
-    keys[missing] = -1 - np.flatnonzero(missing)
-    by_key = np.argsort(keys, kind="stable")
-    dup = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
-    bad = np.concatenate([np.flatnonzero(missing), dup])
-    if bad.size:
-        pos = int(bad.min())
-        u = int(np.searchsorted(off, pos, side="right")) - 1
-        lineno = linenos[int(order[u])]
-        col = _RECORD.fullmatch(lines[lineno - 1]).start(4) + 1
-        if missing[pos]:
-            raise ParseError("successor %d has no record" % targets[pos], lineno, col)
-        raise ParseError("duplicate edge (%d, %d)" % (u, dst[pos]), lineno, col)
-
     owners = (np.frombuffer("".join(owner_f).encode("ascii"), dtype=np.uint8)
-              - ord("0")).astype(np.int8)[order]
-    names = None
-    if name_f.count(None) < n:
-        names = [name_f[r] if name_f[r] is not None else str(vids[r])
-                 for r in order.tolist()]
-    g = GameGraph(owners, off, dst, names)
-    prios = _int_array(",".join(prio_f)).reshape(n, header[1])[order]
-    return g, [PriorityFunction(np.asarray(prios[:, i], dtype=np.int64))
-               for i in range(header[1])]
+              - ord("0")).astype(np.int8)
+    parsed, error = _game_of_records(vids, prios, owners, _counts(succ_f),
+                                     _int_array(",".join(succ_f)), name_f)
+    if error is not None:
+        r, message = error
+        lineno = linenos[r]
+        raise ParseError(message, lineno, _RECORD.fullmatch(lines[lineno - 1]).start(4) + 1)
+    return parsed
 
 
 def emit_game(g: GameGraph, objectives) -> str:
@@ -467,6 +573,9 @@ _SECTION = re.compile(r"[ \t]*([a-z-]+):")
 _REGION_BODY = re.compile(r"(?:[ \t]|[^\s()])*")
 _VERTEX_TOKEN = re.compile(r"[^\s()]+")
 _EDGE_SECTIONS = ("unsafe", "colive", "live-group")
+_CANONICAL_REGION = re.compile(r"(?: [0-9]+)*")
+_CANONICAL_EDGES = re.compile(r"(?: \([0-9]+,[0-9]+\))*")
+_EDGE_DIGITS = str.maketrans(" ", ",", "()")
 
 
 def template_text(t: StrategyTemplate) -> str:
@@ -516,7 +625,65 @@ def _template_line_error(g: GameGraph, raw: str, lineno: int, has_region: bool) 
     s.error("unknown section %r" % label)
 
 
+def _template_of(g: GameGraph, region_ids: np.ndarray, eids: np.ndarray,
+                 labels: list[str], sizes) -> StrategyTemplate:
+    """The template of resolved region and edge ids, the edges in
+    sections of the given labels and sizes; a live-group line is one
+    group."""
+    section = np.repeat(np.arange(len(labels)), sizes)
+    labels = np.array(labels, dtype=str)
+    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
+    unsafe[eids[(labels == "unsafe")[section]]] = True
+    colive = np.zeros(g.edge_count, dtype=np.bool_)
+    colive[eids[(labels == "colive")[section]]] = True
+    in_group = (labels == "live-group")[section]
+    region_mask = np.zeros(g.vertex_count, dtype=np.bool_)
+    region_mask[region_ids] = True
+    return StrategyTemplate(g, unsafe, colive,
+                            *_group_csr(g, section[in_group], eids[in_group]),
+                            region_mask)
+
+
+def _canonical_template(text: str, g: GameGraph) -> StrategyTemplate | None:
+    """parse_template of a text in the form template_text writes for a
+    graph without names, in one pass over the whole text: the region,
+    unsafe and colive lines, then the live-group lines, single spaces,
+    no comments or blank lines.  None for any other text, and for a
+    text with an error, which the per-line path reports."""
+    lines = text.split("\n")
+    if (g.names is not None or len(lines) < 4 or lines[-1]
+            or not lines[0].startswith("region:") or not lines[1].startswith("unsafe:")
+            or not lines[2].startswith("colive:")):
+        return None
+    bodies = [lines[1][7:], lines[2][7:]]
+    for line in lines[3:-1]:
+        if not line.startswith("live-group:"):
+            return None
+        bodies.append(line[11:])
+    if not (_CANONICAL_REGION.fullmatch(lines[0], 7)
+            and all(map(_CANONICAL_EDGES.fullmatch, bodies))):
+        return None
+    # " 3 5" reads "3 5" and " (u,v) (u,v)" reads "u,v,u,v"; numbers too
+    # long for 64 bits saturate, so they fail the bound below
+    region_ids = _numbers(lines[0][8:], " ")
+    ends = _numbers("".join(bodies).translate(_EDGE_DIGITS)[1:], ",")
+    if (region_ids >= g.vertex_count).any():
+        return None
+    eids = g.edge_ids(ends[0::2], ends[1::2])
+    if (eids < 0).any():
+        return None
+    labels = ["unsafe", "colive"] + ["live-group"] * (len(bodies) - 2)
+    return _template_of(g, region_ids, eids, labels, [b.count("(") for b in bodies])
+
+
 def parse_template(text: str, g: GameGraph) -> StrategyTemplate:
+    parsed = _canonical_template(text, g)
+    return parsed if parsed is not None else _parse_template_lines(text, g)
+
+
+def _parse_template_lines(text: str, g: GameGraph) -> StrategyTemplate:
+    """parse_template line by line: any text, and the only source of its
+    ParseErrors."""
     body, bad_char = _ascii_prefix(text)
     region = None  # (lineno, body start, tokens)
     sections = []  # (lineno, body start, label, index of its first edge)
@@ -562,20 +729,8 @@ def parse_template(text: str, g: GameGraph) -> StrategyTemplate:
     if region is None:
         raise ParseError("missing region section", 1, 1)
 
-    # the section of every edge; a live-group line is one group
-    sizes = np.diff([sec[3] for sec in sections] + [len(us)])
-    section = np.repeat(np.arange(len(sections)), sizes)
-    labels = np.array([sec[2] for sec in sections], dtype=str)
-    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
-    unsafe[eids[(labels == "unsafe")[section]]] = True
-    colive = np.zeros(g.edge_count, dtype=np.bool_)
-    colive[eids[(labels == "colive")[section]]] = True
-    in_group = (labels == "live-group")[section]
-    region_mask = np.zeros(g.vertex_count, dtype=np.bool_)
-    region_mask[region_ids] = True
-    return StrategyTemplate(g, unsafe, colive,
-                            *_group_csr(g, section[in_group], eids[in_group]),
-                            region_mask)
+    return _template_of(g, region_ids, eids, [sec[2] for sec in sections],
+                        np.diff([sec[3] for sec in sections] + [len(us)]))
 
 
 # -- strategy text -------------------------------------------------------------

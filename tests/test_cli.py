@@ -223,6 +223,29 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "compose"])
+def test_priority_beyond_64_bits_is_a_parse_error(capsys, tmp_path, command):
+    bad = tmp_path / "big.gpg"
+    bad.write_text("parity 1;\n0 99999999999999999999 0 1;\n1 0 1 0;\n")
+    code, out, err = run(capsys, command, str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("parse error: line 2, column 3: priority 99999999999999999999 "
+                   "does not fit in 64 bits\n")
+
+
+@pytest.mark.parametrize("name,text,argv,where", [
+    ("bad.gpg", 'parity 1;\n0 0 0 1 "caf\u00e9";\n1 0 1 0;\n', ["solve"], "line 2, column 13"),
+    ("t.txt", "region: a b\r\nunsafe: (a,\u00e9)\n", ["extract", SIX, "--template"],
+     "line 2, column 12"),
+])
+def test_non_ascii_byte_reports_its_position(capsys, tmp_path, name, text, argv, where):
+    bad = tmp_path / name
+    bad.write_bytes(text.encode("utf-8"))
+    code, _, err = run(capsys, *argv, str(bad))
+    assert code == 2
+    assert err == "parse error: %s: non-ASCII character\n" % where
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.gpg"))
     assert code == 2

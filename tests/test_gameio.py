@@ -5,8 +5,10 @@ import pytest
 
 from pgtemplates import (GameGraph, ParseError, PriorityFunction, StrategyTemplate,
                          emit_game, extract_strategy, generate,
-                         GeneratorConfig, parse_game, parse_strategy,
-                         parse_template, strategy_text, template_text)
+                         GeneratorConfig, parity_template, parse_game,
+                         parse_strategy, parse_template, strategy_text,
+                         template_text)
+from pgtemplates import gameio
 from conftest import (DATA, buchi_pf, edges, six_game, eight_game,
                       group_edge_sets, pf_by_name, vset)
 
@@ -108,6 +110,12 @@ def test_emit_rejects_unserializable():
     ("parity 1;\n0 0 0 3;\n1 0 1 0;\n", "successor 3 has no record", 2, 7),
     ("parity 1;\n0 0 0 1,1;\n1 0 1 0;\n", "duplicate edge", 2, 7),
     ('parity 0;\n0 0 0 0 "caf\xe9";\n', "non-ASCII", 2, 13),
+    ("parity 1;\n0 99999999999999999999 0 1;\n1 0 1 0;\n",
+     "priority 99999999999999999999 does not fit in 64 bits", 2, 3),
+    ("genparity 1 2;\n0 0,0 0 1;\n1 7,9223372036854775808 1 0;\n",
+     "priority 9223372036854775808 does not fit in 64 bits", 3, 5),
+    ("parity 0;\n0 92233720368547758083 0 a;\n",
+     "priority 92233720368547758083 does not fit in 64 bits", 2, 3),
 ])
 def test_parse_errors_carry_position(text, msg, line, col):
     with pytest.raises(ParseError) as err:
@@ -115,6 +123,60 @@ def test_parse_errors_carry_position(text, msg, line, col):
     assert msg in str(err.value)
     assert err.value.line == line
     assert err.value.column == col
+
+
+def _spy(monkeypatch, name):
+    """Calls of the per-line parser `name` of pgtemplates.gameio."""
+    calls = []
+    inner = getattr(gameio, name)
+
+    def spy(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(gameio, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_canonical_texts_take_the_whole_text_pass(monkeypatch, k):
+    g, objectives = generate(GeneratorConfig(
+        objective_count=k, max_priority=5, seed=k, vertex_count=2000, edge_count=8000))
+    text = emit_game(g, objectives)
+    game_lines = _spy(monkeypatch, "_parse_game_lines")
+    template_lines = _spy(monkeypatch, "_parse_template_lines")
+    g2, parsed = parse_game(text)
+    t = parity_template(g2, parsed[0]).template
+    ttext = template_text(t)
+    assert "live-group: " in ttext and "colive: (" in ttext
+    back = parse_template(ttext, g2)
+    assert game_lines == [] and template_lines == []
+    assert emit_game(g2, parsed) == text
+    assert back == t and template_text(back) == ttext
+    assert np.array_equal(back.group_off, t.group_off)
+    assert np.array_equal(back.group_ids, t.group_ids)
+
+    # one comment line, a doubled space or a name leave the normal form;
+    # the per-line parser reads them to the same game
+    head, first, rest = text.split("\n", 2)
+    for other, names in [(head + "\n# comment\n" + first + "\n" + rest, None),
+                         (head + "\n" + first.replace(" ", "  ", 1) + "\n" + rest, None),
+                         (head + "\n" + first[:-1] + ' "v0";\n' + rest,
+                          ["v0"] + [str(v) for v in range(1, 2000)])]:
+        g3, parsed3 = parse_game(other)
+        assert game_lines[-1] == other
+        assert g3.names == names
+        assert np.array_equal(g3.succ_offsets(), g2.succ_offsets())
+        assert np.array_equal(g3.edge_targets, g2.edge_targets)
+        assert np.array_equal(g3.owners, g2.owners)
+        assert [pf.values.tolist() for pf in parsed3] == \
+            [pf.values.tolist() for pf in parsed]
+    region, rest = ttext.split("\n", 1)
+    for other in ["# comment\n" + ttext, region.replace(" ", "  ", 1) + "\n" + rest]:
+        again = parse_template(other, g2)
+        assert template_lines[-1] == other
+        assert again == t and np.array_equal(again.group_ids, t.group_ids)
+    assert len(game_lines) == 3 and len(template_lines) == 2
 
 
 def test_parse_error_rendering():

@@ -104,11 +104,17 @@ def ref_parse_game(text):
             s.error("duplicate record for vertex %d" % vid)
         s.skip_ws()
         pcol = s.pos + 1
-        prios = _int_list(s.take(r"\d+(?:,\d+)*", "priority list").group(0))
+        plist = s.take(r"\d+(?:,\d+)*", "priority list").group(0)
+        prios = _int_list(plist)
         if len(prios) != k:
             raise ParseError(
                 "expected %d comma-separated priorities, got %d" % (k, len(prios)),
                 lineno, pcol)
+        for token in plist.split(","):
+            if int(token) >= 2 ** 63:
+                raise ParseError("priority %d does not fit in 64 bits" % int(token),
+                                 lineno, pcol)
+            pcol += len(token) + 1
         s.skip_ws()
         owner = int(s.take(r"[01]", "owner (0 or 1)").group(0))
         s.skip_ws()
@@ -468,6 +474,30 @@ def test_hand_picked_texts_agree():
         "parity 1;\n0 0 0 1;\n1 0 1 0;\n2 0 0 0;\n0 0 0 0;\n",
         "parity 2;\n1 0 1 5;\n0 0 0 1,1;\n2 0 0 0;\n",
         "parity 2;\n0 0 0 1,9;\n2 0 1 2,2;\n1 0 0 0;\n",
+        "parity 1;\n0 99999999999999999999 0 1;\n1 0 1 0;\n",
+        "parity 0;\n0 92233720368547758083 0 a;\n",
+        "genparity 1 2;\n1 0,9223372036854775807 1 0;\n0 007,18446744073709551616 0 9;\n",
+        # the normal form emit_game writes, or one fault away from it
+        "parity 0;\n0 0 0 0;\n",
+        "parity 1;\n",
+        "parity 1;\n0 0 0 2;\n1 0 1 0;\n",
+        "parity 1;\n0 0 0 1;\n1 0 2 0;\n",
+        "parity 0;\n0 0 0 1;\n1 0 1 0;\n",
+        "genparity 0 4294967296;\n0 0 0 0;\n",
+        "genparity 1 2;\n0 1,2 0 1;\n1 0 1 0;\n",
+        "parity 1;\n1 0 1 0;\n0 0 0 1;\n",
+        "parity 2;\n0 0 0 2;\n2 0 1 0;\n",
+        "parity 1;\n0 0 0 1;\n1 0 1 0;",
+        "parity 1;\n0 0 0 0;\n1 0 1 0",
+        "parity 1;\n0 0 0 1;\n1 0 1 0;\n\n",
+        "parity 1;\n0 0 0 0,1,0;\n1 0 1 0;\n",
+        "parity 1;\n0 0 0 1,;\n1 0 1 0;\n",
+        "parity 1;\n0 0 0 ,1;\n1 0 1 0;\n",
+        "parity 1;\n0 0 0 1;\n1 0 1 0,;\n",
+        "parity 1;\n0 0 0 0,,1;\n1 0 1 0;\n",
+        "parity 1;\n0 0 0 18446744073709551616;\n1 0 1 0;\n",
+        "parity 1;\n0 0 0 1;\n1 0 1 0;\n0 0 0 0;\n",
+        "genparity 1 2;\n0 3,9223372036854775807 0 1;\n1 0,0 1 0,1;\n",
     ]
     for text in games:
         agree(parse_game, ref_parse_game, text,
@@ -481,6 +511,27 @@ def test_hand_picked_texts_agree():
                  "region: x \t\nunsafe: (x,1) \t\n", "region: z\nunsafe: (x,9)\n",
                  "unsafe: (x,9)\nregion: z\n"]:
         agree(parse_template, ref_parse_template, text, g, same=_same_template)
+    # the normal form template_text writes for a graph without names, or
+    # one fault away from it
+    g1, _ = ref_parse_game("parity 2;\n0 0 0 1,2;\n1 1 1 0;\n2 0 0 2;\n")
+    for text in ["region: 0 2\nunsafe: (0,1)\ncolive: (2,2)\n"
+                 "live-group: (0,2) (0,1)\nlive-group: (1,0)\n",
+                 "region:\nunsafe:\ncolive:\n",
+                 "region: 0 3\nunsafe:\ncolive:\n",
+                 "region: 0\nunsafe: (0,3)\ncolive:\n",
+                 "region: 0\nunsafe: (1,2)\ncolive:\n",
+                 "region: 0\nunsafe: (12)\ncolive:\n",
+                 "region: 0\nunsafe (0,1)\ncolive:\n",
+                 "region: 0\nunsafe:\ncolive:\nlive-group (0,1)\n",
+                 "region: 0\nunsafe:\ncolive:\nlive-group:\n",
+                 "region: 0\nunsafe:\ncolive:",
+                 "region: 0\nunsafe:\ncolive:\nlive-group: (0,1)",
+                 "region: 0\nunsafe:\ncolive:\nregion: 1\n",
+                 "region: 99999999999999999999\nunsafe:\ncolive:\n",
+                 "region: 0\nunsafe: (0,99999999999999999999)\ncolive:\n",
+                 "region: 0 0\nunsafe: (0,1) (0,1)\ncolive: (0,1)\nlive-group: (1,0)\n",
+                 "region: 0\ncolive:\nunsafe:\n"]:
+        agree(parse_template, ref_parse_template, text, g1, same=_same_template)
     for text in ["x: (x,1) (x,2)\n2: (2,2)\n", "x:\n", "x: (x,1)\nx: (x,2)\n",
                  "2: (x,1)\n", "1: (1,0)\n", "x: (x,1) junk\n", "x (x,1)\n"]:
         agree(parse_strategy, ref_parse_strategy, text, g, same=_same_strategy)

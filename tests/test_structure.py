@@ -8,6 +8,9 @@ Production modules import only the standard library, numpy and the
 package itself: every `pgt` command pays for its imports before it reads
 its input, and a heavy import (scipy.sparse.csgraph adds about 33 MB and
 0.6 s) would show in the benchmark's setup time and peak memory.
+
+Production modules hold no assert statement: a check that carries
+meaning raises a real exception, and `python -O` strips asserts.
 """
 import ast
 import sys
@@ -73,3 +76,10 @@ def test_production_modules_import_only_stdlib_and_numpy():
                        for module in modules - allowed)
     assert offenders == []
     assert "numpy" in found["graph.py"]
+
+
+def test_production_modules_hold_no_assert():
+    found = sorted((path.name, node.lineno) for path in PACKAGE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Assert))
+    assert found == []
