@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 parse or usage error, 3 template conflict,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -246,7 +247,9 @@ def _cmd_bench_fault(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The pgt argument parser, built on first use and shared after."""
     parser = argparse.ArgumentParser(
         prog="pgt",
         description="Permissive strategy templates for games on graphs.")

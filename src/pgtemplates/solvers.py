@@ -19,7 +19,7 @@ from .graph import GameGraph, PLAYER0, PLAYER1, PriorityFunction
 from .template import StrategyTemplate
 from . import transformers
 from .transformers import (_attractor, _range_ids, _restricted_degrees,
-                           attr_mask, cpre_mask)
+                           attr_mask)
 
 
 class SolveResult:
@@ -223,11 +223,23 @@ def buchi_template(g: GameGraph, goal) -> SolveResult:
 def cobuchi_template(g: GameGraph, goal) -> SolveResult:
     """Template for eventually staying in the goal set.
 
-    Within the winning region, repeatedly take the sub-region where
-    player 0 can stay in the goal forever, mark every edge leaving it
-    co-live, then walk the attractor layers toward it: layer edges that
-    do not make progress (sideways or outward) are co-live too.  Peel
-    the attractor and repeat on the rest.
+    Within the winning region, repeatedly peel: take the core where
+    player 0 can stay in the goal forever, then the core's player-0
+    attractor inside what is left of the region, layer by layer.  Rank
+    the core 0, the i-th attractor layer i, and the rest of what is left
+    infinity.  A player-0 edge (v, w) with v in the peel and w in what
+    is left is co-live iff rank(w) > rank(v), or rank(w) == rank(v) > 0:
+    it leaves the core, moves outward, or stays within one layer.  Edges
+    into earlier peels are not co-live.  Remove the peel and repeat on
+    the rest.
+
+    The layers are the rounds of one attractor kernel run, and a peel
+    reads only the successor ranges of its own player-0 vertices; peels
+    are disjoint, so layering and marking cost O(n + m) over the whole
+    call.  Each peel also takes a safety region and restricted degrees
+    on the shrinking rest, O(n + m) apiece, and every peel removes at
+    least one vertex, so a call costs O(peels * (n + m)) with at most
+    |W0| peels.
     """
     goal_mask = g.mask_of(goal)
     w0 = cobuchi_win(g, goal_mask)
@@ -235,30 +247,33 @@ def cobuchi_template(g: GameGraph, goal) -> SolveResult:
     unsafe = np.zeros(g.edge_count, dtype=np.bool_)
     unsafe[_crossing_edges(g, w0, w1)] = True
     colive = np.zeros(g.edge_count, dtype=np.bool_)
+    off = g.succ_offsets()
     src = g.edge_sources()
     dst = g.edge_targets
-    owners = g.owners
-
-    def mark(xs: np.ndarray, ys: np.ndarray) -> None:
-        ids = np.flatnonzero(xs[src] & ys[dst])
-        ids = ids[owners[src[ids]] == PLAYER0]
-        colive[ids] = True
+    mine = g.owners == PLAYER0
+    # the rank of every vertex not yet peeled is infinity, written n
+    rank = np.full(g.vertex_count, g.vertex_count, dtype=np.int64)
 
     remaining = w0.copy()
     while remaining.any():
         core = _safety_region(g, goal_mask & remaining, PLAYER0, remaining)
         if not core.any():
             raise RuntimeError("co-Büchi region without a safety core")
-        mark(core, remaining & ~core)
-        cur = core.copy()
-        while True:
-            layer = cpre_mask(g, cur, PLAYER0, remaining) & ~cur
-            if not layer.any():
-                break
-            mark(layer, remaining & ~(cur | layer))
-            mark(layer, layer)
-            cur |= layer
-        remaining &= ~cur
+        counter = _restricted_degrees(g, remaining)
+        counter[mine] = 1
+        peel = core.copy()
+        rounds: list = []
+        _attractor(g, peel, counter, np.flatnonzero(core), remaining,
+                   rounds=rounds)
+        rank[core] = 0
+        for i, layer in enumerate(rounds, 1):
+            rank[layer] = i
+        ids = _range_ids(off, np.flatnonzero(peel & mine))
+        to = dst[ids]
+        rv = rank[src[ids]]
+        rw = rank[to]
+        colive[ids[remaining[to] & ((rw > rv) | ((rw == rv) & (rv > 0)))]] = True
+        remaining &= ~peel
 
     tpl = StrategyTemplate.from_groups(g, unsafe, colive, [], w0)
     return SolveResult(w0, w1, tpl)

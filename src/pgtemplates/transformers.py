@@ -1,14 +1,16 @@
 """One-step and fixpoint set transformers over game graphs.
 
 All operators take and return boolean vertex masks (see
-:meth:`GameGraph.mask_of`).  The public functions work on the whole
-graph; the ``*_mask`` kernels additionally accept a ``universe`` mask
-and then behave as if the graph were restricted to that universe,
-ignoring every edge with an endpoint outside it.  Solvers use the
-kernels to work on subgames without copying the graph.
+:meth:`GameGraph.mask_of`).  The public functions ``upre``, ``cpre``,
+``attr`` and ``uattr`` are the paper's one-step and attractor operators
+on the whole graph.  Only the attractor kernel ``_attractor``, its
+counter builder ``_restricted_degrees`` and ``attr_mask`` also accept a
+``universe`` mask; they then behave as if the graph were restricted to
+that universe, ignoring every edge with an endpoint outside it.
+Solvers use them to work on subgames without copying the graph.
 
 Inside a universe some vertices may have no remaining successors.  The
-kernels use worklist semantics for such vertices: a vertex with no
+kernel uses worklist semantics for such vertices: a vertex with no
 (restricted) successors is never pulled in by closure, only by being in
 the seed set.  Full graphs are total, so the public operators match the
 textbook definitions exactly.
@@ -17,7 +19,11 @@ Both attractors run on one counter-based worklist kernel.  Every vertex
 carries a counter of the edges into the set it still needs: 1 for the
 attracting player's vertices and the restricted out-degree for the
 opponent's in ``attr``, the restricted out-degree for everyone in
-``uattr``.  A vertex joins the set when its counter reaches zero.
+``uattr``.  A vertex joins the set when its counter reaches zero, so
+one kernel round adds exactly one layer of the matching one-step
+operator, taken inside the universe: with ``attr``'s counters, the
+vertices of cpre(set) outside the set; with ``uattr``'s, those of
+upre(set).
 
 The kernel grows a set mask in place from a frontier of vertices just
 added to it, and leaves the counters where they stopped.  A caller may
@@ -28,7 +34,9 @@ added so far, at O(n + m) over all resumptions together.  When given a
 vertices whose counter fell without reaching zero (an int64 array, or a
 non-empty list of ints), so that every vertex it leaves outside the set
 with a (restricted) edge into the set is listed at least once (a listed
-vertex may still join later).
+vertex may still join later).  When given a ``rounds`` list, it appends
+each round's joined vertices, in the same forms, so that the i-th entry
+is the i-th one-step layer around the set the call started from.
 
 A round runs in one of two forms, chosen from its frontier size.  A
 large frontier takes one numpy round: gather the predecessors, count
@@ -85,47 +93,10 @@ def _restricted_degrees(g: GameGraph, universe: np.ndarray | None) -> np.ndarray
     return np.bincount(src[ok], minlength=g.vertex_count)
 
 
-def upre_mask(g: GameGraph, u: np.ndarray,
-              universe: np.ndarray | None = None) -> np.ndarray:
-    """Vertices whose every (restricted) successor lies in u.
-
-    Requires at least one restricted successor; see the module note on
-    worklist semantics for universe-internal dead ends.
-    """
-    src = g.edge_sources()
-    dst = g.edge_targets
-    if universe is None:
-        deg = np.diff(g.succ_offsets())
-        cnt = np.bincount(src[u[dst]], minlength=g.vertex_count)
-        return cnt == deg
-    ok = universe[src] & universe[dst]
-    deg = np.bincount(src[ok], minlength=g.vertex_count)
-    cnt = np.bincount(src[ok & u[dst]], minlength=g.vertex_count)
-    return (deg > 0) & (cnt == deg) & universe
-
-
-def cpre_mask(g: GameGraph, u: np.ndarray, player: int,
-              universe: np.ndarray | None = None) -> np.ndarray:
-    """Vertices from which the player forces a visit to u in one step."""
-    src = g.edge_sources()
-    dst = g.edge_targets
-    if universe is None:
-        hit = u[dst]
-    else:
-        hit = universe[src] & universe[dst] & u[dst]
-    exists = np.zeros(g.vertex_count, dtype=np.bool_)
-    exists[src[hit]] = True
-    forall = upre_mask(g, u, universe)
-    mine = g.owners == player
-    out = np.where(mine, exists, forall)
-    if universe is not None:
-        out &= universe
-    return out
-
-
 def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
                frontier, universe: np.ndarray | None,
-               touched: list | None = None) -> int:
+               touched: list | None = None,
+               rounds: list | None = None) -> int:
     """Counter-based worklist shared by every attractor; returns how
     many vertices joined.
 
@@ -137,7 +108,8 @@ def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
     in place, so every edge is inspected a constant number of times and
     a call costs O(n + m); a round touches only the frontier's edges,
     not all n counters.  The rest of each round's counted predecessors
-    go to ``touched`` when given.
+    go to ``touched`` when given, and each round's non-empty set of
+    joined vertices (a list of ints or an int64 array) to ``rounds``.
 
     A frontier of fewer than _SCALAR_LIMIT vertices runs as a scalar
     round over the predecessor lists, which skips a vertex for the rest
@@ -165,6 +137,8 @@ def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
                 fell = [u for u in fell if not in_a[u]]
                 if fell:
                     touched.append(fell)
+            if rounds is not None and nxt:
+                rounds.append(nxt)
             frontier = nxt
             joined += len(nxt)
             continue
@@ -182,6 +156,8 @@ def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
         frontier = cand[hit]
         in_a[frontier] = True
         joined += frontier.size
+        if rounds is not None and frontier.size:
+            rounds.append(frontier)
     return joined
 
 
@@ -199,28 +175,26 @@ def attr_mask(g: GameGraph, target: np.ndarray, player: int,
     return in_a
 
 
-def uattr_mask(g: GameGraph, target: np.ndarray,
-               universe: np.ndarray | None = None) -> np.ndarray:
-    """Least fixpoint of upre seeded with target: both players are
-    dragged into the set regardless of choices."""
-    in_a = target.copy() if universe is None else (target & universe)
-    _attractor(g, in_a, _restricted_degrees(g, universe),
-               np.flatnonzero(in_a), universe)
-    return in_a
-
-
 # -- public, whole-graph operators --------------------------------------
+
+
+def _edges_into(g: GameGraph, u) -> np.ndarray:
+    """Per vertex, how many of its edges lead into u."""
+    hit = g.mask_of(u)[g.edge_targets]
+    return np.bincount(g.edge_sources()[hit], minlength=g.vertex_count)
 
 
 def upre(g: GameGraph, u) -> np.ndarray:
     """{v | every successor of v is in u}."""
-    return upre_mask(g, g.mask_of(u))
+    return _edges_into(g, u) == np.diff(g.succ_offsets())
 
 
 def cpre(g: GameGraph, u, player: int) -> np.ndarray:
     """Controllable predecessors: the player can force u in one step."""
     _check_player(player)
-    return cpre_mask(g, g.mask_of(u), player)
+    cnt = _edges_into(g, u)
+    return np.where(g.owners == player, cnt > 0,
+                    cnt == np.diff(g.succ_offsets()))
 
 
 def attr(g: GameGraph, u, player: int) -> np.ndarray:
@@ -231,4 +205,7 @@ def attr(g: GameGraph, u, player: int) -> np.ndarray:
 
 def uattr(g: GameGraph, u) -> np.ndarray:
     """Vertices from which every play reaches u, whoever moves."""
-    return uattr_mask(g, g.mask_of(u))
+    in_a = g.mask_of(u)
+    _attractor(g, in_a, _restricted_degrees(g, None), np.flatnonzero(in_a),
+               None)
+    return in_a

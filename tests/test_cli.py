@@ -1,5 +1,6 @@
 import pytest
 
+from pgtemplates import cli
 from pgtemplates.cli import main
 from pgtemplates.fault import CSV_HEADER
 from conftest import DATA
@@ -275,3 +276,28 @@ def test_bench_fault_csv_shape(capsys):
         assert cols[1] == "6"
         assert 0.0 <= float(cols[2]) <= 1.0
         assert 0.0 <= float(cols[3]) <= 1.0
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    assert run(capsys, "solve", EIGHT)[0] == 0
+    parser = cli._build_parser()
+    assert run(capsys, "solve", SIX, "--objective", "1")[0] == 0
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["solve", "--help"], 0), ([], 2), (["nope"], 2),
+    (["solve", EIGHT, "--objective", "x"], 2)])
+def test_shared_parser_exits_like_a_fresh_one(capsys, argv, code):
+    # --help and usage errors print and exit alike on every call, and
+    # like a parser built afresh
+    exits = []
+    for parse in (main, main, cli._build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out = capsys.readouterr()
+        exits.append((exc.value.code, out.out, out.err))
+    assert exits[0][0] == code
+    assert exits[0] == exits[1] == exits[2]

@@ -1,18 +1,22 @@
-"""Differential checks of the attractor kernel, reach_template and the
-conflict check against the implementations they replaced.
+"""Differential checks of the attractor kernel, reach_template,
+cobuchi_template and the conflict check against the implementations
+they replaced.
 
 The kernel and reach_template run small rounds and layers as scalar
 steps and large ones with numpy; the kernel checks run every case with
 all steps forced onto each form and with the two mixed (see ``FORMS``).
 
 The references below are the earlier code, kept verbatim apart from
-their names: two separate worklist loops for attr and uattr, a
-reach_template that re-runs uattr and a full-edge cpre for every
-layer (calling the uattr reference, and building its full universe
-inline), and a find_conflicts that scans the live-groups one at a
-time with a length-n bincount each.  Both now speak the template's
-live-group format: reach_template gives one edge-id array per layer, and
-a starved vertex maps to the indices of its groups.
+their names: two separate worklist loops for attr and uattr, the
+universe-restricted one-step operators upre and cpre, a reach_template
+that re-runs uattr and a full-edge cpre for every layer (calling the
+uattr reference, and building its full universe inline), a
+cobuchi_template that takes each attractor layer with a full-edge cpre
+and marks its co-live edges with two full-edge scans, and a
+find_conflicts that scans the live-groups one at a time with a length-n
+bincount each.  The last two now speak the template's live-group
+format: reach_template gives one edge-id array per layer, and a starved
+vertex maps to the indices of its groups.
 """
 from contextlib import contextmanager
 
@@ -23,11 +27,12 @@ from hypothesis import strategies as st
 
 from pgtemplates import (ConflictReport, StrategyTemplate, conjoin,
                          find_conflicts, parity_template, reach_template,
-                         transformers)
-from pgtemplates.graph import PLAYER0
+                         solvers, transformers)
+from pgtemplates.graph import GameGraph, PLAYER0
+from pgtemplates.solvers import (SolveResult, _crossing_edges,
+                                 _safety_region, cobuchi_template, cobuchi_win)
 from pgtemplates.transformers import (_attractor, _gather_ranges,
-                                      _restricted_degrees, attr_mask,
-                                      cpre_mask, uattr_mask)
+                                      _restricted_degrees, attr_mask)
 from conftest import rand_game
 
 
@@ -77,6 +82,44 @@ def uattr_mask_reference(g, target, universe=None):
     return in_a
 
 
+def upre_mask_reference(g: GameGraph, u: np.ndarray,
+                        universe: np.ndarray | None = None) -> np.ndarray:
+    """Vertices whose every (restricted) successor lies in u.
+
+    Requires at least one restricted successor; see the transformers
+    module note on worklist semantics for universe-internal dead ends.
+    """
+    src = g.edge_sources()
+    dst = g.edge_targets
+    if universe is None:
+        deg = np.diff(g.succ_offsets())
+        cnt = np.bincount(src[u[dst]], minlength=g.vertex_count)
+        return cnt == deg
+    ok = universe[src] & universe[dst]
+    deg = np.bincount(src[ok], minlength=g.vertex_count)
+    cnt = np.bincount(src[ok & u[dst]], minlength=g.vertex_count)
+    return (deg > 0) & (cnt == deg) & universe
+
+
+def cpre_mask_reference(g: GameGraph, u: np.ndarray, player: int,
+                        universe: np.ndarray | None = None) -> np.ndarray:
+    """Vertices from which the player forces a visit to u in one step."""
+    src = g.edge_sources()
+    dst = g.edge_targets
+    if universe is None:
+        hit = u[dst]
+    else:
+        hit = universe[src] & universe[dst] & u[dst]
+    exists = np.zeros(g.vertex_count, dtype=np.bool_)
+    exists[src[hit]] = True
+    forall = upre_mask_reference(g, u, universe)
+    mine = g.owners == player
+    out = np.where(mine, exists, forall)
+    if universe is not None:
+        out &= universe
+    return out
+
+
 def reach_template_reference(g, goal, universe=None):
     if universe is None:
         universe = np.ones(g.vertex_count, dtype=np.bool_)
@@ -88,7 +131,7 @@ def reach_template_reference(g, goal, universe=None):
     groups = []
     a = uattr_mask_reference(g, goal_mask, universe)
     while int(a.sum()) != total:
-        b = cpre_mask(g, a, PLAYER0, universe) & ~a
+        b = cpre_mask_reference(g, a, PLAYER0, universe) & ~a
         if not b.any():
             raise ValueError(
                 "reach_template: goal is not player-0 attractable from the "
@@ -99,6 +142,50 @@ def reach_template_reference(g, goal, universe=None):
             groups.append(ids)
         a = uattr_mask_reference(g, a | b, universe)
     return groups
+
+
+def cobuchi_template_reference(g: GameGraph, goal) -> SolveResult:
+    """Template for eventually staying in the goal set.
+
+    Within the winning region, repeatedly take the sub-region where
+    player 0 can stay in the goal forever, mark every edge leaving it
+    co-live, then walk the attractor layers toward it: layer edges that
+    do not make progress (sideways or outward) are co-live too.  Peel
+    the attractor and repeat on the rest.
+    """
+    goal_mask = g.mask_of(goal)
+    w0 = cobuchi_win(g, goal_mask)
+    w1 = ~w0
+    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
+    unsafe[_crossing_edges(g, w0, w1)] = True
+    colive = np.zeros(g.edge_count, dtype=np.bool_)
+    src = g.edge_sources()
+    dst = g.edge_targets
+    owners = g.owners
+
+    def mark(xs: np.ndarray, ys: np.ndarray) -> None:
+        ids = np.flatnonzero(xs[src] & ys[dst])
+        ids = ids[owners[src[ids]] == PLAYER0]
+        colive[ids] = True
+
+    remaining = w0.copy()
+    while remaining.any():
+        core = _safety_region(g, goal_mask & remaining, PLAYER0, remaining)
+        if not core.any():
+            raise RuntimeError("co-Büchi region without a safety core")
+        mark(core, remaining & ~core)
+        cur = core.copy()
+        while True:
+            layer = cpre_mask_reference(g, cur, PLAYER0, remaining) & ~cur
+            if not layer.any():
+                break
+            mark(layer, remaining & ~(cur | layer))
+            mark(layer, layer)
+            cur |= layer
+        remaining &= ~cur
+
+    tpl = StrategyTemplate.from_groups(g, unsafe, colive, [], w0)
+    return SolveResult(w0, w1, tpl)
 
 
 def find_conflicts_reference(g, t):
@@ -194,14 +281,49 @@ def test_attr_mask_matches_reference(case, player):
 @settings(deadline=None, max_examples=300)
 @given(game_and_masks())
 def test_uattr_mask_matches_reference(case):
+    # the kernel with restricted out-degrees as every counter is uattr
+    # inside the universe
     g, target, universe = case
     want = uattr_mask_reference(g, target, universe)
-    kept = copies(target, universe)
+    inside = np.ones(g.vertex_count, dtype=np.bool_) if universe is None else universe
     for limit in FORMS:
+        got = target & inside
         with scalar_limit(limit):
-            got = uattr_mask(g, target, universe)
-        assert_unchanged([target, universe], kept)
+            _attractor(g, got, _restricted_degrees(g, universe),
+                       np.flatnonzero(got), universe)
         assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=300)
+@given(game_and_masks(), st.integers(0, 1), st.booleans())
+def test_kernel_rounds_are_one_step_layers(case, player, both_wait):
+    # with attr's counters each recorded round is the next cpre layer
+    # inside the universe; with uattr's (every vertex waits for all of
+    # its edges), the next upre layer
+    g, target, universe = case
+    inside = np.ones(g.vertex_count, dtype=np.bool_) if universe is None else universe
+
+    def layer_of(cur):
+        if both_wait:
+            return upre_mask_reference(g, cur, universe) & ~cur
+        return cpre_mask_reference(g, cur, player, universe) & ~cur
+
+    for limit in FORMS:
+        counter = _restricted_degrees(g, universe)
+        if not both_wait:
+            counter[g.owners == player] = 1
+        got = target & inside
+        rounds = []
+        with scalar_limit(limit):
+            _attractor(g, got, counter, np.flatnonzero(got), universe,
+                       rounds=rounds)
+        cur = target & inside
+        for layer in rounds:
+            want = layer_of(cur)
+            assert sorted(np.asarray(layer).tolist()) == np.flatnonzero(want).tolist()
+            cur |= want
+        assert np.array_equal(cur, got)
+        assert not layer_of(cur).any()
 
 
 def resumed(g, target, extra, universe, limit):
@@ -287,6 +409,50 @@ def test_reach_template_mixes_forms_on_pinned_games():
         want = outcome(reach_template_reference, g, goal, universe)
         with scalar_limit(MIXED):
             assert outcome(reach_template, g, goal, universe) == want
+
+
+def assert_same_cobuchi(g, goal):
+    want = cobuchi_template_reference(g, goal)
+    kept = copies(goal)
+    for limit in FORMS:
+        with scalar_limit(limit):
+            got = cobuchi_template(g, goal)
+        assert_unchanged([goal], kept)
+        assert np.array_equal(got.w0_mask, want.w0_mask)
+        assert np.array_equal(got.w1_mask, want.w1_mask)
+        assert np.array_equal(got.template.unsafe_mask, want.template.unsafe_mask)
+        assert np.array_equal(got.template.colive_mask, want.template.colive_mask)
+        assert got.template.group_off.tolist() == [0]
+        assert got.template.group_ids.size == 0
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 10_000), st.data())
+def test_cobuchi_template_matches_reference(seed, data):
+    g, _ = rand_game(seed, 40, 1)
+    goal = g.mask_of(sorted(data.draw(st.sets(st.integers(0, g.vertex_count - 1)))))
+    assert_same_cobuchi(g, goal)
+
+
+def test_cobuchi_template_matches_reference_over_several_peels(monkeypatch):
+    # pinned games whose co-Büchi region takes two, three and four peels,
+    # counted as the safety cores the peel loop takes
+    peels = [0]
+
+    def counted(*args):
+        peels[0] += 1
+        return safety_region(*args)
+
+    safety_region = solvers._safety_region
+    monkeypatch.setattr(solvers, "_safety_region", counted)
+    for seed, want in ((1, 2), (8, 2), (404, 3), (943, 3), (2794, 4)):
+        g, _ = rand_game(seed, 40, 1)
+        rng = np.random.default_rng(seed)
+        goal = rng.random(g.vertex_count) < rng.random()
+        peels[0] = 0
+        cobuchi_template(g, goal)
+        assert peels[0] == want
+        assert_same_cobuchi(g, goal)
 
 
 @settings(deadline=None, max_examples=150)

@@ -113,14 +113,21 @@ def test_reach_template_reads_universe_as_ids_or_mask():
         reach_template(g, [2], universe=np.ones(4, dtype=np.bool_))
 
 
-def test_reach_template_work_is_linear_on_a_chain(monkeypatch):
-    # vertex i may step back to i-1 or wait, so every vertex is its own
-    # layer; re-running the closures per layer would scan Θ(L·m) entries
-    length = 3000
-    g = GameGraph.from_lists([0] * length,
-                             [[0]] + [[i - 1, i] for i in range(1, length)])
-    calls = {"_restricted_degrees": 0, "uattr_mask": 0, "cpre_mask": 0}
-    scanned = [0]
+def back_chain(length):
+    """Player-0 chain: vertex i may step back to i-1 or wait, so the
+    goal {0} lies length-1 attractor layers below the far end."""
+    return GameGraph.from_lists([0] * length,
+                                [[0]] + [[i - 1, i] for i in range(1, length)])
+
+
+def count_reads(monkeypatch, name, counted):
+    """Trace solvers.<name>: while it runs, count the calls of each
+    function named in ``counted`` (looked up in transformers and
+    solvers), the entries read through indexing the predecessor lists
+    and the edge targets ("scanned"), and the fetches of a whole per-edge
+    array, edge sources or targets ("fetched").  Returns the counts."""
+    reads = dict.fromkeys(counted, 0)
+    reads.update(scanned=0, fetched=0)
     inside = []
 
     class Scanned(np.ndarray):
@@ -129,30 +136,39 @@ def test_reach_template_work_is_linear_on_a_chain(monkeypatch):
         def __getitem__(self, key):
             out = super().__getitem__(key)
             if inside:
-                scanned[0] += np.size(out)
+                reads["scanned"] += np.size(out)
             return out.view(np.ndarray) if isinstance(out, np.ndarray) else out
 
-    def counting(name, fn):
+    def counting(key, fn):
         def wrapper(*args, **kwargs):
             if inside:
-                calls[name] += 1
+                reads[key] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     for module in (transformers, solvers):
-        for name in calls:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counting(name, getattr(module, name)))
-    # the predecessor lists the kernel walks and the successor targets
-    # the layer step reads, in either round form
+        for key in counted:
+            if hasattr(module, key):
+                monkeypatch.setattr(module, key,
+                                    counting(key, getattr(module, key)))
+    # the predecessor lists the kernel walks, in either round form, and
+    # the successor targets the layer and co-live steps read
     pred_csr = GameGraph.pred_csr
     monkeypatch.setattr(GameGraph, "pred_csr", lambda self: (
         pred_csr(self)[0], pred_csr(self)[1].view(Scanned)))
     targets = GameGraph.edge_targets.fget
+    sources = GameGraph.edge_sources
+
+    def fetch(array):
+        if inside:
+            reads["fetched"] += 1
+        return array
+
     monkeypatch.setattr(GameGraph, "edge_targets", property(
-        lambda self: targets(self).view(Scanned)))
-    real = solvers.reach_template
+        lambda self: fetch(targets(self).view(Scanned))))
+    monkeypatch.setattr(GameGraph, "edge_sources",
+                        lambda self: fetch(sources(self)))
+    real = getattr(solvers, name)
 
     def traced(*args, **kwargs):
         inside.append(True)
@@ -161,20 +177,51 @@ def test_reach_template_work_is_linear_on_a_chain(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(solvers, "reach_template", traced)
+    monkeypatch.setattr(solvers, name, traced)
+    return reads
+
+
+def test_reach_template_work_is_linear_on_a_chain(monkeypatch):
+    # every vertex is its own layer; re-running the closures per layer
+    # would scan Θ(L·m) entries
+    length = 3000
+    g = back_chain(length)
+    reads = count_reads(monkeypatch, "reach_template", ["_restricted_degrees"])
     # force every kernel round and layer onto the numpy form, then onto
     # the scalar form
     for limit in (0, length + 1):
         monkeypatch.setattr(transformers, "_SCALAR_LIMIT", limit)
-        scanned[0] = 0
+        reads.update(dict.fromkeys(reads, 0))
         res = solvers.buchi_template(g, [0])
         assert res.w0_mask.all()
         assert len(res.template.live_groups) == length - 1
-        assert calls == {"_restricted_degrees": 1, "uattr_mask": 0,
-                         "cpre_mask": 0}
-        calls.update(dict.fromkeys(calls, 0))
+        assert reads["_restricted_degrees"] == 1
         # every predecessor list once, every layer's successors once
-        assert g.edge_count <= scanned[0] <= 2 * g.edge_count
+        assert g.edge_count <= reads["scanned"] <= 2 * g.edge_count
+
+
+def test_cobuchi_template_work_is_linear_on_a_chain(monkeypatch):
+    # one peel of length-1 layers; a full-edge pass per layer would
+    # fetch the per-edge arrays Θ(L) times and read Θ(L·m) entries
+    length = 3000
+    g = back_chain(length)
+    reads = count_reads(monkeypatch, "cobuchi_template", ["_safety_region"])
+    for limit in (0, length + 1):
+        monkeypatch.setattr(transformers, "_SCALAR_LIMIT", limit)
+        reads.update(dict.fromkeys(reads, 0))
+        res = solvers.cobuchi_template(g, [0])
+        assert res.w0_mask.all()
+        assert reads["_safety_region"] == 1
+        # waiting is the only co-live move: every self-loop but the goal's
+        assert res.template.colive_edges == frozenset(
+            (i, i) for i in range(1, length))
+        assert not res.template.unsafe_edges
+        # five attractor runs (three for the region, one for the core,
+        # one for the layers) read every predecessor list at most once
+        # each, and the co-live step each peeled vertex's successors once
+        assert reads["scanned"] <= 6 * g.edge_count, reads
+        # a fixed number of whole-edge passes, not one per layer
+        assert reads["fetched"] <= 20, reads
 
 
 def test_cobuchi_win_and_template(g6):

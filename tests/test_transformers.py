@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgtemplates import attr, cpre, uattr, upre
-from pgtemplates.transformers import attr_mask, cpre_mask, upre_mask
+from pgtemplates.transformers import attr_mask
 from conftest import eight_game, names_of, rand_game, vset
 
 
@@ -44,10 +44,6 @@ def test_attr_universe_restriction(g6):
     universe = g6.mask_of(vset(g6, "bd"))
     got = attr_mask(g6, g6.mask_of(vset(g6, "d")), 0, universe=universe)
     assert names_of(g6, got) == ["b", "d"]
-    # c keeps both escapes a and d; within {c,d} only d's seed remains
-    universe = g6.mask_of(vset(g6, "cd"))
-    got = cpre_mask(g6, g6.mask_of(vset(g6, "c")), 0, universe=universe)
-    assert names_of(g6, got) == []
 
 
 def _cpre_by_definition(g, u_mask, player):
