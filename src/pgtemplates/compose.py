@@ -11,6 +11,11 @@ region.  The loop terminates because (region size, region vertices not
 yet top-odd, summed over the objectives) decreases lexicographically
 between re-solve rounds; that is checked at runtime (RuntimeError).
 
+Folding one objective keeps one parity-solver memo (see
+solvers.parity_parts) for all of its solves and rounds, so a subgame on
+which the objectives agree, or which a re-solve round visits again, is
+solved once.  The memo is dropped when the fold returns.
+
 The procedure is sound but deliberately not complete: re-solving after
 a conflict may give up vertices a cleverer coordination could keep.
 """
@@ -41,17 +46,21 @@ def relabel(pf: PriorityFunction, u) -> PriorityFunction:
 
     The resulting objective is the original conjoined with "eventually
     avoid u forever": any play visiting u infinitely often now has an
-    odd maximum.
+    odd maximum.  u is a boolean mask over the vertices or an iterable
+    of vertex ids; a mask of the wrong length or an id outside the
+    vertex range raises ValueError.
     """
     top = pf.odd_ceiling()
     vals = np.asarray(pf.values).copy()
     if isinstance(u, np.ndarray) and u.dtype == np.bool_:
-        mask = u
+        if u.shape != vals.shape:
+            raise ValueError("mask length does not match the priority function")
+        vals[u] = top
     else:
-        mask = np.zeros(len(vals), dtype=np.bool_)
-        for v in u:
-            mask[int(v)] = True
-    vals[mask] = top
+        ids = np.fromiter((int(v) for v in u), dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(vals)):
+            raise ValueError("vertex id out of range")
+        vals[ids] = top
     return PriorityFunction(vals, top)
 
 
@@ -133,11 +142,12 @@ def _fold_objective(g: GameGraph, state: ComposeState,
     # the entry round reuses the carried template parts and is not
     # comparable to a full solve
     prev = None
+    memo: dict = {}
 
     while True:
         new_w0 = w0.copy()
         for i in range(solve_from, len(objs)):
-            wi, _, gi, ci = parity_parts(g, objs[i].values, w0)
+            wi, _, gi, ci = parity_parts(g, objs[i].values, w0, memo)
             new_w0 &= wi
             groups.extend(gi)
             for ids in ci:

@@ -9,7 +9,12 @@ rest; template edges are collected along the way.
 
 Subgames are handled with universe masks (see transformers), never by
 copying the graph, so reported edges and vertices are always in the
-input graph's ids.
+input graph's ids.  A recursion step reads nothing outside its
+universe, so the parity solver keeps each step's result in a memo
+under its universe mask and answers a step whose universe and
+priorities inside it repeat from there.  A memo lives for one parity_parts call,
+or for one composition fold that passes it to every call; there is no
+module-level cache.
 """
 from __future__ import annotations
 
@@ -284,7 +289,8 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
 
     Yields the universe of a needed sub-solve and receives its result;
     returns (w0, w1, live-group id arrays, colive id arrays) for the
-    given universe.  Run via _trampoline so recursion depth stays flat.
+    given universe.  Run via _trampoline so recursion depth stays flat
+    and repeated sub-solves come from its memo.
     """
     nothing = np.zeros(len(universe), dtype=np.bool_)
     if not universe.any():
@@ -325,29 +331,86 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
     return w0p, w1p | b, groups2, colive2
 
 
-def _trampoline(step, root_universe: np.ndarray):
-    stack = [step(root_universe)]
-    result = None
-    while stack:
+def _recall(entries: list, vals: np.ndarray, universe: np.ndarray):
+    """The entry among those solved on this universe whose priorities
+    equal vals inside it, or None."""
+    inside = None
+    for entry in entries:
+        held = entry[0]
+        if held is not vals:
+            if inside is None:
+                inside = vals[universe]
+            if not np.array_equal(held[universe], inside):
+                continue
+        return entry
+    return None
+
+
+def _trampoline(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
+                memo: dict):
+    """Run _parity_solve steps on an explicit stack, looking every
+    requested universe up in ``memo`` first.
+
+    A step reads nothing outside its universe, so its result depends
+    only on the graph, the universe and the priorities inside it.  The
+    memo maps the packed bits of a universe to the steps finished on
+    it, each stored as (priority array, packed w0 bits, live-group
+    tuple, co-live tuple): w1 is the rest of the universe, and the id
+    arrays are shared with the step's result.  A lookup compares the
+    priorities inside the universe, so equal values of any integer
+    dtype match.  A miss pushes a new step; a hit skips the whole
+    subtree and returns a fresh w0 mask, w1 mask and lists, since
+    callers extend the lists; the id arrays inside are never written.
+    """
+    stack = []
+    pending, result = universe, None
+    while True:
+        if pending is not None:
+            key = np.packbits(pending).tobytes()
+            entry = _recall(memo.get(key, ()), vals, pending)
+            if entry is None:
+                stack.append((_parity_solve(g, vals, pending), key))
+                result = None
+            else:
+                w0 = np.unpackbits(entry[1], count=len(pending)).view(np.bool_)
+                result = (w0, pending & ~w0, list(entry[2]), list(entry[3]))
+        if not stack:
+            return result
+        step, key = stack[-1]
         try:
-            requested = stack[-1].send(result)
+            pending = step.send(result)
         except StopIteration as stop:
             result = stop.value
             stack.pop()
-            continue
-        stack.append(step(requested))
-        result = None
-    return result
+            pending = None
+            memo.setdefault(key, []).append(
+                (vals, np.packbits(result[0]), tuple(result[2]),
+                 tuple(result[3])))
 
 
-def parity_parts(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
+def parity_parts(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
+                 memo: dict | None = None):
     """Solve a parity objective on the universe-restricted subgame.
 
     Returns (w0, w1, live-group id arrays, colive id arrays) without deriving
     unsafe edges; composition combines parts from several objectives
     before the boundary is known.
+
+    Every recursion step's result is kept in ``memo`` under its universe,
+    with a reference to its priority array, and a step whose universe
+    and priorities inside it repeat is answered from there (see
+    _trampoline).  Without a memo the call uses a fresh dict, dropped on
+    return.  A caller may share one dict between calls on the same
+    graph, as composition does over one fold; the entries are only
+    valid for that graph.  The memo holds the priority arrays it saw: a
+    writable vals is copied first, so that no later write to it changes
+    what the memo holds, and a read-only one must not change while the
+    memo is in use.
     """
-    return _trampoline(lambda u: _parity_solve(g, vals, u), universe)
+    if vals.flags.writeable:
+        vals = vals.copy()
+        vals.setflags(write=False)
+    return _trampoline(g, vals, universe, {} if memo is None else memo)
 
 
 def parity_template(g: GameGraph, priorities: PriorityFunction) -> SolveResult:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pgtemplates import (GeneratorConfig, PriorityFunction, Strategy,
-                         extract_strategy, generate)
-from pgtemplates.graph import GraphBuilder
+                         extract_strategy, generate, solvers)
+from pgtemplates.graph import GameGraph, GraphBuilder
 from pgtemplates.template import _edge_mask
 
 DATA = Path(__file__).parent / "data"
@@ -113,6 +113,61 @@ def rand_game(seed, max_n, max_priority, k=1, min_n=2, density=4):
                           vertex_count=n, edge_count=m)
     g, objectives = generate(cfg)
     return (g, objectives[0]) if k == 1 else (g, objectives)
+
+
+def compose_shaped_game(seed, filler=24, k=3):
+    """k objectives that agree on a shared filler and disagree on small
+    gadgets, so that composing them takes relabel-and-re-solve rounds.
+    Returns (graph, priority functions).
+
+    A player-0 cycle 0 -> 1 -> 2 -> 0 has priority 0.  Each filler
+    vertex is player 0's, with two random filler edges and one into the
+    cycle, and a random priority 0..5 shared by every objective.  Each
+    objective has one player-1 self-loop trap, priority 1 there and 0
+    elsewhere, entered from two filler vertices.  A player-0 vertex x
+    with loops x -> y1 -> x and x -> y2 -> x takes priorities 2, 3 on
+    y1, y2 in objective 0 and 3, 2 in objective 1: each objective alone
+    wins at x, together they leave it no edge.
+    """
+    rng = np.random.default_rng(seed)
+    n_fill = 3 + filler
+    succ = [[1], [2], [0]]
+    for _ in range(filler):
+        succ.append(sorted(set(rng.integers(3, n_fill, 2).tolist()
+                               + [int(rng.integers(0, 3))])))
+    owners = [0] * n_fill
+    base = [0, 0, 0] + rng.integers(0, 6, filler).tolist()
+    prios = [list(base) for _ in range(k)]
+    for i in range(k):
+        t = len(succ)
+        succ.append([t])
+        owners.append(1)
+        for j, p in enumerate(prios):
+            p.append(1 if j == i else 0)
+        for u in rng.integers(3, n_fill, 2).tolist():
+            if t not in succ[u]:
+                succ[u].append(t)
+    x = len(succ)
+    succ += [[x + 1, x + 2], [x], [x]]
+    owners += [0, 1, 1]
+    for i, p in enumerate(prios):
+        p += [0, 2, 3] if i == 0 else [0, 3, 2] if i == 1 else [0, 0, 0]
+    return (GameGraph.from_lists(owners, succ),
+            [PriorityFunction(p) for p in prios])
+
+
+def counted_steps(monkeypatch):
+    """Counts the parity solver's recursion steps as they are created;
+    returns a one-element list holding the count."""
+    steps = [0]
+    step = solvers._parity_solve
+
+    def counted(*args):
+        steps[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(solvers, "_parity_solve", counted)
+    return steps
 
 
 def sample_compliant_strategy(g, t, rng):

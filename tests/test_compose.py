@@ -8,8 +8,9 @@ from pgtemplates import (ComposeState, PriorityFunction, add_objective,
                          brute_force_gen_parity_region, compose_templates,
                          extract_strategy, find_conflicts, pad_to_odd,
                          parity_template, relabel, verify_strategy)
-from conftest import (buchi_pf, edges, group_edge_sets, names_of, pf_by_name,
-                      rand_game, vset)
+from conftest import (buchi_pf, compose_shaped_game, counted_steps, edges,
+                      group_edge_sets, names_of, pf_by_name, rand_game, vset)
+from test_kernel_reference import parity_parts_reference
 
 
 def phi3(g):
@@ -35,6 +36,19 @@ def test_relabel_goldens(g6):
     bumped = relabel(pf, vset(g6, "ad"))
     assert bumped.max_priority == 3
     assert list(bumped.values) == [3, 2, 1, 3, 1, 1]
+
+
+def test_relabel_rejects_vertices_outside_the_range(g6):
+    # -1 must not index from the end, nor n and a short mask reach
+    # numpy's IndexError
+    pf = pad_to_odd(phi4(g6))
+    n = g6.vertex_count
+    with pytest.raises(ValueError, match="out of range"):
+        relabel(pf, [-1])
+    with pytest.raises(ValueError, match="out of range"):
+        relabel(pf, [n])
+    with pytest.raises(ValueError, match="mask length"):
+        relabel(pf, np.ones(n - 1, dtype=np.bool_))
 
 
 def _simple_cycles(g, limit):
@@ -201,3 +215,57 @@ def test_compose_rejects_a_measure_that_does_not_fall(g6, monkeypatch):
     monkeypatch.setattr(compose, "relabel", lambda pf, u: pf)
     with pytest.raises(RuntimeError, match="failed to decrease"):
         compose_templates(g6, ComposeState.initial(g6), [phi3(g6), phi4(g6)])
+
+
+def test_compose_work_is_bounded_by_the_fold_memo(monkeypatch):
+    # counted, not timed: the parity solver's steps in one compose call,
+    # and the parity_parts calls of every round
+    g, objectives = compose_shaped_game(2, 16)
+    steps = counted_steps(monkeypatch)
+    log = []
+    solve, check = compose.parity_parts, compose.find_conflicts
+
+    def logged_solve(g, vals, universe, memo):
+        log.append("solve")
+        return solve(g, vals, universe, memo)
+
+    def logged_check(g, t):
+        report = check(g, t)
+        log.append(report.is_conflict_free)
+        return report
+
+    monkeypatch.setattr(compose, "parity_parts", logged_solve)
+    monkeypatch.setattr(compose, "find_conflicts", logged_check)
+    _, template = compose_templates(g, ComposeState.initial(g), objectives)
+    assert steps[0] <= 43
+
+    # rounds as (parity_parts calls, conflict-free); the last check is
+    # compose_templates' own on the result
+    rounds, calls = [], 0
+    for entry in log:
+        if entry == "solve":
+            calls += 1
+        else:
+            rounds.append((calls, entry))
+            calls = 0
+    assert rounds[-1] == (0, True)
+    # the entry round of the j-th fold solves the new objective, a
+    # re-solve round all j of them
+    folded, entry_round = 1, True
+    for calls, free in rounds[:-1]:
+        assert calls == (1 if entry_round else folded)
+        entry_round = free
+        folded += free
+    assert folded == len(objectives) + 1
+    assert sum(not free for _, free in rounds) == 1
+
+    # the memo-less solver takes more steps for the same template
+    monkeypatch.setattr(compose, "parity_parts",
+                        lambda g, vals, universe, memo:
+                        parity_parts_reference(g, vals, universe))
+    steps[0] = 0
+    _, want = compose_templates(g, ComposeState.initial(g), objectives)
+    assert steps[0] > 43
+    assert want == template
+    assert np.array_equal(want.group_off, template.group_off)
+    assert np.array_equal(want.group_ids, template.group_ids)

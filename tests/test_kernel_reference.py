@@ -1,6 +1,6 @@
 """Differential checks of the attractor kernel, reach_template,
-cobuchi_template and the conflict check against the implementations
-they replaced.
+cobuchi_template, the parity solver's memo and the conflict check
+against the implementations they replaced.
 
 The kernel and reach_template run small rounds and layers as scalar
 steps and large ones with numpy; the kernel checks run every case with
@@ -16,7 +16,9 @@ and marks its co-live edges with two full-edge scans, and a
 find_conflicts that scans the live-groups one at a time with a length-n
 bincount each.  The last two now speak the template's live-group
 format: reach_template gives one edge-id array per layer, and a starved
-vertex maps to the indices of its groups.
+vertex maps to the indices of its groups.  parity_parts_reference runs
+the parity solver's steps on the trampoline without a memo, so every
+repeated subgame is solved again.
 """
 from contextlib import contextmanager
 
@@ -25,15 +27,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import (ConflictReport, StrategyTemplate, conjoin,
-                         find_conflicts, parity_template, reach_template,
-                         solvers, transformers)
+from pgtemplates import (ComposeState, ConflictReport, PriorityFunction,
+                         StrategyTemplate, compose, compose_templates, conjoin,
+                         find_conflicts, pad_to_odd, parity_template,
+                         reach_template, relabel, solvers, transformers)
 from pgtemplates.graph import GameGraph, PLAYER0
 from pgtemplates.solvers import (SolveResult, _crossing_edges,
-                                 _safety_region, cobuchi_template, cobuchi_win)
+                                 _safety_region, cobuchi_template, cobuchi_win,
+                                 parity_parts)
 from pgtemplates.transformers import (_attractor, _gather_ranges,
                                       _restricted_degrees, attr_mask)
-from conftest import rand_game
+from conftest import compose_shaped_game, counted_steps, rand_game
 
 
 def attr_mask_reference(g, target, player, universe=None):
@@ -186,6 +190,26 @@ def cobuchi_template_reference(g: GameGraph, goal) -> SolveResult:
 
     tpl = StrategyTemplate.from_groups(g, unsafe, colive, [], w0)
     return SolveResult(w0, w1, tpl)
+
+
+def _trampoline_reference(step, root_universe: np.ndarray):
+    stack = [step(root_universe)]
+    result = None
+    while stack:
+        try:
+            requested = stack[-1].send(result)
+        except StopIteration as stop:
+            result = stop.value
+            stack.pop()
+            continue
+        stack.append(step(requested))
+        result = None
+    return result
+
+
+def parity_parts_reference(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
+    return _trampoline_reference(lambda u: solvers._parity_solve(g, vals, u),
+                                 universe)
 
 
 def find_conflicts_reference(g, t):
@@ -453,6 +477,86 @@ def test_cobuchi_template_matches_reference_over_several_peels(monkeypatch):
         cobuchi_template(g, goal)
         assert peels[0] == want
         assert_same_cobuchi(g, goal)
+
+
+def assert_same_parts(got, want):
+    """Equal regions, and equal live-group and co-live id arrays in the
+    same order."""
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    for a, b in zip(got[2:], want[2:]):
+        assert [ids.tolist() for ids in a] == [ids.tolist() for ids in b]
+
+
+def drawn_mask(data, n):
+    return np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                    dtype=np.bool_)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10_000), st.data())
+def test_parity_parts_matches_reference(seed, data):
+    g, pf = rand_game(seed, 40, 6)
+    universe = drawn_mask(data, g.vertex_count)
+    want = parity_parts_reference(g, pf.values, universe)
+    kept = copies(universe)
+    for memo in (None, {}):
+        assert_same_parts(parity_parts(g, pf.values, universe, memo), want)
+        assert_unchanged([universe], kept)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 10_000), st.integers(2, 4), st.data())
+def test_parity_parts_with_a_shared_memo_matches_reference(seed, k, data):
+    # as in a composition fold: the objectives agree outside a drawn
+    # set, each round solves them all on one universe, and the next
+    # round relabels a drawn set and solves again on what they all won
+    g, objectives = rand_game(seed, 30, 5, k=k)
+    n = g.vertex_count
+    mixed = [objectives[0]] + [
+        PriorityFunction(np.where(drawn_mask(data, n), pf.values,
+                                  objectives[0].values))
+        for pf in objectives[1:]]
+    objectives = [pad_to_odd(pf) for pf in mixed]
+    universe = drawn_mask(data, n)
+    memo = {}
+    for _ in range(2):
+        won = universe.copy()
+        for pf in objectives:
+            got = parity_parts(g, pf.values, universe, memo)
+            assert_same_parts(got, parity_parts_reference(g, pf.values, universe))
+            won &= got[0]
+        bumped = drawn_mask(data, n)
+        objectives = [relabel(pf, bumped) for pf in objectives]
+        universe = won
+
+
+def test_shared_memo_hits_on_a_compose_shaped_game(monkeypatch):
+    # every solve of the fold is also run without a memo and with a memo
+    # of its own; the fold's shared memo saves steps within a call and
+    # across the calls
+    g, objectives = compose_shaped_game(2, 16)
+    steps = counted_steps(monkeypatch)
+
+    def steps_of(fn, *args):
+        steps[0] = 0
+        out = fn(*args)
+        return out, steps[0]
+
+    taken = []
+
+    def checked(g, vals, universe, memo):
+        want, reference = steps_of(parity_parts_reference, g, vals, universe)
+        _, own = steps_of(parity_parts, g, vals, universe)
+        got, shared = steps_of(parity_parts, g, vals, universe, memo)
+        assert_same_parts(got, want)
+        taken.append((shared, own, reference))
+        return got
+
+    monkeypatch.setattr(compose, "parity_parts", checked)
+    compose_templates(g, ComposeState.initial(g), objectives)
+    shared, own, reference = map(sum, zip(*taken))
+    assert (shared, own, reference) == (43, 52, 78)
 
 
 @settings(deadline=None, max_examples=150)

@@ -15,8 +15,9 @@ from pgtemplates import (GeneratorConfig, buchi_template, buchi_win,
                          verify_strategy, zielonka_regions)
 from pgtemplates import solvers, transformers
 from pgtemplates.graph import GameGraph
-from conftest import (buchi_pf, cobuchi_pf, edges, group_edge_sets, names_of,
-                      rand_game, sample_compliant_strategy, vset)
+from conftest import (buchi_pf, cobuchi_pf, counted_steps, edges,
+                      group_edge_sets, names_of, rand_game,
+                      sample_compliant_strategy, vset)
 
 
 def test_safety_win_and_template(g6):
@@ -310,6 +311,73 @@ def test_compliant_samples_stay_winning(seed):
     for _ in range(5):
         s = sample_compliant_strategy(g, result.template, rng)
         assert verify_strategy(g, s, pf).is_winning
+
+
+def parts_lists(parts):
+    w0, w1, groups, colive = parts
+    return (w0.tolist(), w1.tolist(), [ids.tolist() for ids in groups],
+            [ids.tolist() for ids in colive])
+
+
+def test_memo_hits_return_fresh_masks_and_lists(monkeypatch):
+    g, pf = rand_game(17, 20, 5)
+    universe = np.ones(g.vertex_count, dtype=np.bool_)
+    memo = {}
+    first = solvers.parity_parts(g, pf.values, universe, memo)
+    want = parts_lists(first)
+    assert first[0].any() and first[1].any() and first[2] and first[3]
+    steps = counted_steps(monkeypatch)
+    for _ in range(2):
+        w0, w1, groups, colive = first
+        w0[:] = True
+        w1[:] = True
+        groups.append(np.arange(3))
+        del colive[0]
+        # a hit at the root: no step runs, and the answer is unchanged
+        first = solvers.parity_parts(g, pf.values, universe, memo)
+        assert steps[0] == 0
+        assert parts_lists(first) == want
+
+
+def test_memo_key_is_the_priorities_inside_the_universe(monkeypatch):
+    g, pf = rand_game(17, 20, 5)
+    n = g.vertex_count
+    universe = np.ones(n, dtype=np.bool_)
+    universe[0] = False
+    memo = {}
+    base = parts_lists(solvers.parity_parts(g, pf.values, universe, memo))
+    steps = counted_steps(monkeypatch)
+    changed = 0
+    # one array, written between the calls that share the memo
+    vals = pf.values.copy()
+    for v in range(1, n):
+        vals[v] ^= 1
+        steps[0] = 0
+        got = parts_lists(solvers.parity_parts(g, vals, universe, memo))
+        # one vertex moved inside the universe: not an earlier root's input
+        assert steps[0] > 0
+        assert got == parts_lists(solvers.parity_parts(g, vals, universe))
+        changed += got != base
+        vals[v] ^= 1
+    assert changed > 0
+    # outside the universe the priorities are not part of the input
+    vals = pf.values.copy()
+    vals[0] += 1
+    steps[0] = 0
+    assert parts_lists(solvers.parity_parts(g, vals, universe, memo)) == base
+    assert steps[0] == 0
+
+
+def test_memo_key_ignores_the_integer_dtype(monkeypatch):
+    g, pf = rand_game(17, 20, 5)
+    universe = np.ones(g.vertex_count, dtype=np.bool_)
+    memo = {}
+    wide = parts_lists(solvers.parity_parts(g, pf.values, universe, memo))
+    narrow = pf.values.astype(np.int32)
+    assert parts_lists(solvers.parity_parts(g, narrow, universe)) == wide
+    steps = counted_steps(monkeypatch)
+    assert parts_lists(solvers.parity_parts(g, narrow, universe, memo)) == wide
+    assert steps[0] == 0
 
 
 def _solve_time(n, seed):

@@ -11,6 +11,10 @@ its input, and a heavy import (scipy.sparse.csgraph adds about 33 MB and
 
 Production modules hold no assert statement: a check that carries
 meaning raises a real exception, and `python -O` strips asserts.
+
+The solver and composition modules keep no module-level cache: the
+parity solver's memo lives for one call or one composition fold, since
+library users and the benchmark's worker are long-lived processes.
 """
 import ast
 import sys
@@ -83,3 +87,48 @@ def test_production_modules_hold_no_assert():
                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                    if isinstance(node, ast.Assert))
     assert found == []
+
+
+CALL_SCOPED = ("solvers.py", "compose.py")
+MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                    ast.SetComp)
+MUTABLE_FACTORIES = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                     "Counter"}
+
+
+def _called_name(node):
+    func = node.func if isinstance(node, ast.Call) else node
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def _module_caches(source):
+    """Module-level assignments of a mutable container, and any use of
+    functools' caching decorators, with their line numbers."""
+    tree = ast.parse(source)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            value = node.value
+            if isinstance(value, MUTABLE_LITERALS) or (
+                    isinstance(value, ast.Call)
+                    and _called_name(value) in MUTABLE_FACTORIES):
+                yield node.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Name)) and \
+                _called_name(node) in ("lru_cache", "cache"):
+            yield node.lineno
+
+
+def test_solver_memo_is_call_scoped():
+    found = sorted((name, line) for name in CALL_SCOPED
+                   for line in _module_caches((PACKAGE / name).read_text(encoding="utf-8")))
+    assert found == []
+
+
+def test_cache_reader_sees_module_level_caches():
+    source = ("import functools\n_memo = {}\n_seen: list = []\n"
+              "_sub = dict()\n@functools.lru_cache(maxsize=None)\n"
+              "def f(x):\n    return x\n@cache\ndef g(x):\n    local = {}\n")
+    assert sorted(_module_caches(source)) == [2, 3, 4, 5, 8]
+    assert list(_module_caches((PACKAGE / "cli.py").read_text(encoding="utf-8")))
