@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import GameGraph, PriorityFunction
+from .graph import GameGraph, PriorityFunction, _vertex_mask
 from .solvers import _crossing_edges, parity_parts
 from .template import StrategyTemplate, find_conflicts
 
@@ -46,21 +46,15 @@ def relabel(pf: PriorityFunction, u) -> PriorityFunction:
 
     The resulting objective is the original conjoined with "eventually
     avoid u forever": any play visiting u infinitely often now has an
-    odd maximum.  u is a boolean mask over the vertices or an iterable
-    of vertex ids; a mask of the wrong length or an id outside the
-    vertex range raises ValueError.
+    odd maximum.  u is read as GameGraph.mask_of reads a vertex set: a
+    boolean mask over the vertices (a numpy array or a list of
+    booleans) or an iterable of vertex ids; a mask of the wrong length,
+    an id outside the vertex range or a mix of booleans and ids raises
+    ValueError.
     """
     top = pf.odd_ceiling()
     vals = np.asarray(pf.values).copy()
-    if isinstance(u, np.ndarray) and u.dtype == np.bool_:
-        if u.shape != vals.shape:
-            raise ValueError("mask length does not match the priority function")
-        vals[u] = top
-    else:
-        ids = np.fromiter((int(v) for v in u), dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= len(vals)):
-            raise ValueError("vertex id out of range")
-        vals[ids] = top
+    vals[_vertex_mask(len(vals), u)] = top
     return PriorityFunction(vals, top)
 
 

@@ -44,6 +44,12 @@ def _fault_mask(g: GameGraph, faulty) -> np.ndarray:
     return mask
 
 
+def _with_unsafe(g: GameGraph, t: StrategyTemplate, unsafe: np.ndarray) -> StrategyTemplate:
+    """The template with the edges of a mask added to its unsafe set."""
+    return StrategyTemplate(g, t.unsafe_mask | unsafe, t.colive_mask,
+                            t.group_off, t.group_ids, t.region_mask)
+
+
 class FaultModel:
     """A validated set of fallible player-0 edges; fault_correction and
     gaf_tolerant accept it in place of an edge collection."""
@@ -104,8 +110,7 @@ def fault_correction(g: GameGraph, priorities: PriorityFunction,
     mask = _fault_mask(g, faulty)
     if not mask.any():
         return t
-    patched = StrategyTemplate(g, t.unsafe_mask | mask, t.colive_mask,
-                               t.group_off, t.group_ids, t.region_mask)
+    patched = _with_unsafe(g, t, mask)
     if find_conflicts(g, patched).is_conflict_free:
         return patched
     g2, p2, _ = delete_edges(g, priorities, mask)
@@ -116,14 +121,13 @@ def gaf_tolerant(g: GameGraph, t: StrategyTemplate,
                  faulty) -> tuple[bool, frozenset[int]]:
     """Sufficient condition for surviving intermittent faults: every
     player-0 vertex of the region keeps an edge into the region that is
-    neither unsafe, co-live, nor fallible.  Returns (ok, offending
-    vertices)."""
+    neither unsafe, co-live, nor fallible: none is a dead vertex of the
+    template with the fallible edges marked unsafe.  Returns (ok,
+    offending vertices)."""
     if isinstance(faulty, FaultModel):
         faulty = faulty.faulty
-    usable = t.allowed_mask() & ~_fault_mask(g, faulty)
-    free = np.bincount(g.edge_sources()[usable], minlength=g.vertex_count)
-    offending = np.flatnonzero(t.region_mask & (g.owners == PLAYER0) & (free == 0))
-    return offending.size == 0, frozenset(int(v) for v in offending)
+    dead = find_conflicts(g, _with_unsafe(g, t, _fault_mask(g, faulty))).dead_vertices
+    return not dead, dead
 
 
 class OnlineStrategy:
@@ -232,14 +236,9 @@ def simulate_fault_conflicts(g: GameGraph, priorities: PriorityFunction,
     n = g.vertex_count
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        picked = rng.choice(p0_edges, size=k, replace=False)
-        unsafe = template.unsafe_mask.copy()
-        unsafe[picked] = True
-        patched = StrategyTemplate(g, unsafe, template.colive_mask,
-                                   template.group_off, template.group_ids,
-                                   template.region_mask)
-        report = find_conflicts(g, patched)
-        hit = report.all_vertices
+        picked = np.zeros(g.edge_count, dtype=np.bool_)
+        picked[rng.choice(p0_edges, size=k, replace=False)] = True
+        hit = find_conflicts(g, _with_unsafe(g, template, picked)).all_vertices
         if hit:
             conflicts += 1
         vertex_fractions.append(len(hit) / n)

@@ -26,10 +26,16 @@ line-by-line parsers, which are the only source of ParseErrors.
 The line-by-line parsers also work on whole texts and arrays: one
 ASCII check, one precompiled fullmatch per line, one numpy conversion
 for all numeric tokens and vectorized checks over the resulting arrays.
-Errors carry 1-based line and column positions, taken from the match
-offsets, and are reported in the order a line-by-line reading meets
-them.  Only a line that its pattern rejects is walked again by a cursor
-(_Scanner), to find the column where it goes wrong.
+They only locate the first line that fails, in line order: one its
+pattern rejects, or one that fails a check (a record's id or
+priorities, an unknown vertex or edge, a strategy line's head or
+moves).  That line goes to the format's walker, a cursor (_Scanner),
+with the state of the lines before it: the ids seen, whether a region
+line was seen, the strategy heads seen.  The walker is the only code
+that builds a line's ParseError, with its 1-based line and column.
+Errors of the whole text (a missing header, record or region, a
+successor without a record, a repeated edge, a non-ASCII character)
+are built by the readers.
 """
 from __future__ import annotations
 
@@ -197,28 +203,17 @@ def _header_error(raw: str, lineno: int) -> NoReturn:
 def _parse_header(raw: str, lineno: int) -> tuple[int, int]:
     """(max_id, objective count) of the header line."""
     m = _HEADER.fullmatch(raw)
-    if m is None:
+    if m is None or (m.group(3) is not None and int(m.group(3)) < 1):
         _header_error(raw, lineno)
     if m.group(1) is not None:
         return int(m.group(1)), 1
-    k = int(m.group(3))
-    if k < 1:
-        raise ParseError("objective count must be at least 1", lineno, m.end(3) + 1)
-    return int(m.group(2)), k
-
-
-def _check_priorities(prios: str, lineno: int, col: int) -> None:
-    """Every number of a priority list at the given column fits in 64
-    bits."""
-    for token in prios.split(","):
-        if int(token) > _INT64_MAX:
-            raise ParseError("priority %d does not fit in 64 bits" % int(token), lineno, col)
-        col += len(token) + 1
+    return int(m.group(2)), int(m.group(3))
 
 
 def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
-    """Walk a record line the record pattern rejected, making the checks
-    a line-by-line reading makes on the way."""
+    """Walk the first record line that fails, given the ids of the
+    records before it, making the checks a line-by-line reading makes on
+    the way."""
     s = _Scanner(raw, lineno)
     s.skip_ws()
     vid = int(s.take(r"\d+", "vertex id").group(0))
@@ -235,7 +230,10 @@ def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
     if got != k:
         raise ParseError("expected %d comma-separated priorities, got %d" % (k, got),
                          lineno, pcol)
-    _check_priorities(prios, lineno, pcol)
+    for token in prios.split(","):
+        if int(token) > _INT64_MAX:
+            raise ParseError("priority %d does not fit in 64 bits" % int(token), lineno, pcol)
+        pcol += len(token) + 1
     s.skip_ws()
     s.take(r"[01]", "owner (0 or 1)")
     s.skip_ws()
@@ -249,10 +247,11 @@ def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
     _accepted(lineno)
 
 
-def _check_records(lines, linenos, vids, prio_f, prios, max_id: int, k: int) -> None:
-    """The per-record checks, in line order: id within the declared
-    maximum, no second record for an id, k priorities, each of which
-    fits in 64 bits."""
+def _first_bad_record(vids, prio_f, prios, max_id: int, k: int) -> int:
+    """Index of the first record, in line order, that fails a per-record
+    check (id within the declared maximum, no second record for an id, k
+    priorities, each of which fits in 64 bits); the record count when
+    none does."""
     dup = np.ones(len(vids), dtype=np.bool_)
     dup[np.unique(vids, return_index=True)[1]] = False
     nprio = _counts(prio_f)
@@ -260,22 +259,7 @@ def _check_records(lines, linenos, vids, prio_f, prios, max_id: int, k: int) -> 
     if prios.dtype == object:
         big[np.repeat(np.arange(len(vids)), nprio)[prios > _INT64_MAX]] = True
     bad = np.flatnonzero((vids > max_id) | dup | (nprio != k) | big)
-    if not bad.size:
-        return
-    r = int(bad[0])
-    lineno = linenos[r]
-    m = _RECORD.fullmatch(lines[lineno - 1])
-    vid = vids[r]
-    col = m.end(1) - len(str(vid)) + 1
-    if vid > max_id:
-        raise ParseError("vertex id %d exceeds declared maximum %d" % (vid, max_id),
-                         lineno, col)
-    if dup[r]:
-        raise ParseError("duplicate record for vertex %d" % vid, lineno, col)
-    if nprio[r] != k:
-        raise ParseError("expected %d comma-separated priorities, got %d"
-                         % (k, nprio[r]), lineno, m.start(2) + 1)
-    _check_priorities(m.group(2), lineno, m.start(2) + 1)
+    return int(bad[0]) if bad.size else len(vids)
 
 
 def _game_of_records(vids, prios, owners, deg, targets, name_f):
@@ -392,15 +376,17 @@ def _parse_game_lines(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
 
     stop = len(lines) if rejected is None else rejected - 1
     linenos = (np.flatnonzero(is_record[:stop]) + 1).tolist()
+    vids = np.zeros(0, dtype=np.int64)
+    bad = 0
     if linenos:
         vid_f, prio_f, owner_f, succ_f, name_f = zip(*filter(None, fields[:stop]))
         del fields
         vids = _int_array(",".join(vid_f))
         prios = _int_array(",".join(prio_f))
-        _check_records(lines, linenos, vids, prio_f, prios, *header)
-    if rejected is not None:
-        seen = set(vids.tolist()) if linenos else set()
-        _record_error(lines[rejected - 1], rejected, *header, seen)
+        bad = _first_bad_record(vids, prio_f, prios, *header)
+    if bad < len(linenos) or rejected is not None:
+        lineno = linenos[bad] if bad < len(linenos) else rejected
+        _record_error(lines[lineno - 1], lineno, *header, set(vids[:bad].tolist()))
     if bad_char is not None:
         raise bad_char
     if header is None:
@@ -522,29 +508,33 @@ def _edge_list(raw: str, start: int) -> tuple[list[str], list[str]] | None:
     return list(map(itemgetter(1), items)), list(map(itemgetter(2), items))
 
 
-def _column(pattern: re.Pattern, raw: str, start: int, index: int) -> int:
-    """Column of the index-th match of pattern in raw from start on."""
-    for i, m in enumerate(pattern.finditer(raw, start)):
-        if i == index:
-            return m.start() + 1
-    raise IndexError(index)
-
-
-def _edge_list_error(g: GameGraph, s: _Scanner) -> NoReturn:
-    """Walk an edge list its pattern rejected, resolving each edge on the
-    way."""
+def _walk_items(s: _Scanner, item: re.Pattern) -> tuple[list[re.Match], list[int]]:
+    """The items from the cursor on, each after optional blanks, with
+    their columns; the cursor stops after the blanks where no item
+    follows (the end of the line, or where the line goes wrong)."""
+    found, cols = [], []
     while True:
         s.skip_ws()
-        if s.pos == len(s.text):
-            _accepted(s.lineno)
-        col = s.pos + 1
-        m = _EDGE_RE.match(s.text, s.pos)
+        m = item.match(s.text, s.pos)
         if m is None:
-            s.error("edge of the form (u,v)")
+            return found, cols
+        found.append(m)
+        cols.append(s.pos + 1)
         s.pos = m.end()
-        _, bad, why = resolve_edges(g, [m.group(1)], [m.group(2)])
-        if bad >= 0:
-            raise ParseError(why, s.lineno, col)
+
+
+def _walk_edge_list(g: GameGraph, s: _Scanner) -> np.ndarray:
+    """Walk an edge list to the end of the line: the ids of its edges.
+    All its edges are resolved at once, and the first one that does not
+    resolve is reported before a later syntax error."""
+    found, cols = _walk_items(s, _EDGE_RE)
+    eids, bad, why = resolve_edges(g, [m.group(1) for m in found],
+                                   [m.group(2) for m in found])
+    if bad >= 0:
+        raise ParseError(why, s.lineno, cols[bad])
+    if s.pos != len(s.text):
+        s.error("edge of the form (u,v)")
+    return eids
 
 
 def _name_list(g: GameGraph) -> list[str]:
@@ -602,7 +592,8 @@ def template_text(t: StrategyTemplate) -> str:
 
 
 def _template_line_error(g: GameGraph, raw: str, lineno: int, has_region: bool) -> NoReturn:
-    """The error of a template line the section patterns rejected."""
+    """Walk the first template line that fails, given whether a region
+    line came before it: a region line or a section line."""
     s = _Scanner(raw, lineno)
     s.skip_ws()
     head = s.take(r"[a-z-]+:", "section label")
@@ -610,17 +601,16 @@ def _template_line_error(g: GameGraph, raw: str, lineno: int, has_region: bool) 
     if label == "region":
         if has_region:
             s.error("duplicate region section")
-        while True:
-            s.skip_ws()
-            if s.pos == len(s.text):
-                _accepted(lineno)
-            col = s.pos + 1
-            tok = s.take(r"[^\s()]+", "vertex").group(0)
-            _, bad, why = resolve_vertices(g, [tok])
-            if bad >= 0:
-                raise ParseError(why, lineno, col)
+        found, cols = _walk_items(s, _VERTEX_TOKEN)
+        _, bad, why = resolve_vertices(g, [m.group(0) for m in found])
+        if bad >= 0:
+            raise ParseError(why, lineno, cols[bad])
+        if s.pos != len(s.text):
+            s.error("expected vertex")
+        _accepted(lineno)
     if label in _EDGE_SECTIONS:
-        _edge_list_error(g, s)
+        _walk_edge_list(g, s)
+        _accepted(lineno)
     s.pos -= len(head.group(0))
     s.error("unknown section %r" % label)
 
@@ -685,8 +675,8 @@ def _parse_template_lines(text: str, g: GameGraph) -> StrategyTemplate:
     """parse_template line by line: any text, and the only source of its
     ParseErrors."""
     body, bad_char = _ascii_prefix(text)
-    region = None  # (lineno, body start, tokens)
-    sections = []  # (lineno, body start, label, index of its first edge)
+    region = None  # (lineno, tokens)
+    sections = []  # (lineno, label, index of its first edge)
     us: list[str] = []
     vs: list[str] = []
     rejected = None
@@ -696,41 +686,38 @@ def _parse_template_lines(text: str, g: GameGraph) -> StrategyTemplate:
         m = _SECTION.match(raw)
         label = m.group(1) if m else None
         if label == "region" and region is None and _REGION_BODY.fullmatch(raw, m.end()):
-            region = (lineno, m.end(), raw[m.end():].split())
+            region = (lineno, raw[m.end():].split())
             continue
         found = _edge_list(raw, m.end()) if label in _EDGE_SECTIONS else None
         if found is None:
             rejected = lineno
             break
-        sections.append((lineno, m.end(), label, len(us)))
+        sections.append((lineno, label, len(us)))
         us.extend(found[0])
         vs.extend(found[1])
 
-    # the first token that does not resolve, in line order
-    errors = []
+    # the first line that fails, in line order: one holding a token that
+    # does not resolve, or the rejected line
+    failing = [] if rejected is None else [rejected]
     if region is not None:
-        region_ids, bad, why = resolve_vertices(g, region[2])
+        region_ids, bad, _ = resolve_vertices(g, region[1])
         if bad >= 0:
-            lineno, start, _ = region
-            errors.append(ParseError(why, lineno, _column(
-                _VERTEX_TOKEN, _line(text, lineno), start, bad)))
-    eids, bad, why = resolve_edges(g, us, vs)
+            failing.append(region[0])
+    eids, bad, _ = resolve_edges(g, us, vs)
+    firsts = [sec[2] for sec in sections]
     if bad >= 0:
-        firsts = [sec[3] for sec in sections]
-        lineno, start, _, first = sections[int(np.searchsorted(firsts, bad, side="right")) - 1]
-        errors.append(ParseError(why, lineno, _column(
-            _EDGE_RE, _line(text, lineno), start, bad - first)))
-    if errors:
-        raise min(errors, key=lambda e: e.line)
-    if rejected is not None:
-        _template_line_error(g, _line(text, rejected), rejected, region is not None)
+        failing.append(sections[int(np.searchsorted(firsts, bad, side="right")) - 1][0])
+    if failing:
+        lineno = min(failing)
+        _template_line_error(g, _line(text, lineno), lineno,
+                             region is not None and region[0] < lineno)
     if bad_char is not None:
         raise bad_char
     if region is None:
         raise ParseError("missing region section", 1, 1)
 
-    return _template_of(g, region_ids, eids, [sec[2] for sec in sections],
-                        np.diff([sec[3] for sec in sections] + [len(us)]))
+    return _template_of(g, region_ids, eids, [sec[1] for sec in sections],
+                        np.diff(firsts + [len(us)]))
 
 
 # -- strategy text -------------------------------------------------------------
@@ -748,33 +735,38 @@ def strategy_text(s: Strategy) -> str:
                      for v in s.domain_vertices().tolist()) + "\n"
 
 
-def _check_head(g: GameGraph, tok: str, v: int, seen, lineno: int, col: int) -> None:
-    """The checks on the vertex a strategy line starts with (id v, -1
-    when unknown), given the vertices of the lines before."""
-    if v < 0:
-        raise ParseError("unknown vertex %r" % tok, lineno, col)
-    if g.owner_of(v) != PLAYER0:
-        raise ParseError("vertex %r is not player-0" % tok, lineno, col)
-    if v in seen:
-        raise ParseError("duplicate line for vertex %r" % tok, lineno, col)
-
-
 def _strategy_line_error(g: GameGraph, raw: str, lineno: int, seen) -> NoReturn:
-    """Walk a strategy line its pattern rejected, making the checks a
-    line-by-line reading makes on the way."""
+    """Walk the first strategy line that fails, given the vertices of
+    the lines before it, making the checks a line-by-line reading makes
+    on the way."""
     s = _Scanner(raw, lineno)
     s.skip_ws()
     col = s.pos + 1
     tok = s.take(r"[^\s:]+", "vertex").group(0)
-    _check_head(g, tok, int(_vertex_ids(g, [tok])[0]), seen, lineno, col)
+    ids, bad, why = resolve_vertices(g, [tok])
+    if bad >= 0:
+        raise ParseError(why, lineno, col)
+    v = int(ids[0])
+    if g.owner_of(v) != PLAYER0:
+        raise ParseError("vertex %r is not player-0" % tok, lineno, col)
+    if v in seen:
+        raise ParseError("duplicate line for vertex %r" % tok, lineno, col)
     s.skip_ws()
     s.take(r":", "':'")
-    _edge_list_error(g, s)
+    eids = _walk_edge_list(g, s)
+    if not eids.size:
+        s.error("empty move list")
+    foreign = eids[g.edge_sources()[eids] != v]
+    if foreign.size:
+        u, w = g.edge_of(int(foreign[0]))
+        raise ParseError("edge (%s,%s) does not start at %s"
+                         % (g.name_of(u), g.name_of(w), tok), lineno, col)
+    _accepted(lineno)
 
 
 def parse_strategy(text: str, g: GameGraph) -> Strategy:
     body, bad_char = _ascii_prefix(text)
-    rows = []  # (lineno, body start, index of its first edge)
+    rows = []  # (lineno, index of its first edge)
     heads: list[str] = []
     us: list[str] = []
     vs: list[str] = []
@@ -787,14 +779,14 @@ def parse_strategy(text: str, g: GameGraph) -> Strategy:
         if found is None:
             rejected = lineno
             break
-        rows.append((lineno, m.end(), len(us)))
+        rows.append((lineno, len(us)))
         heads.append(m.group(1))
         us.extend(found[0])
         vs.extend(found[1])
 
     vids = _vertex_ids(g, heads)
     eids, _, _ = resolve_edges(g, us, vs)
-    counts = np.diff([r[2] for r in rows] + [len(us)]).astype(np.int64)
+    counts = np.diff([r[1] for r in rows] + [len(us)]).astype(np.int64)
     row_of = np.repeat(np.arange(len(rows)), counts)
     dup = np.ones(len(vids), dtype=np.bool_)
     dup[np.unique(vids, return_index=True)[1]] = False
@@ -802,10 +794,12 @@ def parse_strategy(text: str, g: GameGraph) -> Strategy:
     bad_row[vids >= 0] |= g.owners[vids[vids >= 0]] != PLAYER0
     src = g.edge_sources()
     bad_row[row_of[(eids < 0) | (src[eids] != vids[row_of])]] = True
-    if bad_row.any():
-        _strategy_row_error(g, text, rows, heads, us, vs, vids, eids, int(np.argmax(bad_row)))
-    if rejected is not None:
-        _strategy_line_error(g, _line(text, rejected), rejected, set(vids.tolist()))
+    # the first line that fails: a row that fails a check, or the
+    # rejected line after all rows
+    r = int(np.argmax(bad_row)) if bad_row.any() else len(rows)
+    if r < len(rows) or rejected is not None:
+        lineno = rows[r][0] if r < len(rows) else rejected
+        _strategy_line_error(g, _line(text, lineno), lineno, set(vids[:r].tolist()))
     if bad_char is not None:
         raise bad_char
 
@@ -818,25 +812,3 @@ def parse_strategy(text: str, g: GameGraph) -> Strategy:
     region[vids] = True
     return Strategy(g, _offsets(per_vertex), order,
                     np.zeros(len(order), dtype=np.bool_), region)
-
-
-def _strategy_row_error(g, text, rows, heads, us, vs, vids, eids, r: int) -> NoReturn:
-    """The first error of an accepted strategy line, as a line-by-line
-    reading meets it."""
-    lineno, start, first = rows[r]
-    end = rows[r + 1][2] if r + 1 < len(rows) else len(us)
-    raw = _line(text, lineno)
-    tok, v = heads[r], int(vids[r])
-    col = _STRATEGY_LINE.match(raw).start(1) + 1
-    _check_head(g, tok, v, vids[:r], lineno, col)
-    _, bad, why = resolve_edges(g, us[first:end], vs[first:end])
-    if bad >= 0:
-        raise ParseError(why, lineno, _column(_EDGE_RE, raw, start, bad))
-    if end == first:
-        raise ParseError("empty move list", lineno, len(raw) + 1)
-    for e in eids[first:end].tolist():
-        u, w = g.edge_of(e)
-        if u != v:
-            raise ParseError("edge (%s,%s) does not start at %s"
-                             % (g.name_of(u), g.name_of(w), tok), lineno, col)
-    _accepted(lineno)

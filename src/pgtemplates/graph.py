@@ -28,6 +28,34 @@ class GraphBuildError(ValueError):
     """Raised when a graph under construction violates a model invariant."""
 
 
+def _vertex_mask(n: int, vertices) -> np.ndarray:
+    """Boolean membership mask over the vertex range 0..n-1.
+
+    Accepts an iterable of ids, or a boolean mask (copied): a numpy
+    boolean array or an iterable of booleans only.  An iterable that
+    mixes booleans and ids, a mask of another length and an id outside
+    the range raise ValueError.
+    """
+    if not isinstance(vertices, np.ndarray):
+        vertices = list(vertices)
+        flags = sum(isinstance(v, (bool, np.bool_)) for v in vertices)
+        if 0 < flags < len(vertices):
+            raise ValueError("vertex set mixes booleans and vertex ids")
+        if flags:
+            vertices = np.array(vertices, dtype=np.bool_)
+    if isinstance(vertices, np.ndarray) and vertices.dtype == np.bool_:
+        if len(vertices) != n:
+            raise ValueError("mask length does not match vertex count")
+        return vertices.copy()
+    mask = np.zeros(n, dtype=np.bool_)
+    ids = np.fromiter((int(v) for v in vertices), dtype=np.int64)
+    if ids.size:
+        if ids.min() < 0 or ids.max() >= n:
+            raise ValueError("vertex id out of range")
+        mask[ids] = True
+    return mask
+
+
 class GameGraph:
     """Immutable two-player game graph over dense vertex ids."""
 
@@ -207,30 +235,9 @@ class GameGraph:
     # -- set helpers --------------------------------------------------------
 
     def mask_of(self, vertices) -> np.ndarray:
-        """Boolean membership mask over the vertex range.
-
-        Accepts an iterable of ids, or a boolean mask (copied): a numpy
-        boolean array or an iterable of booleans only.  An iterable that
-        mixes booleans and ids raises ValueError.
-        """
-        if not isinstance(vertices, np.ndarray):
-            vertices = list(vertices)
-            flags = sum(isinstance(v, (bool, np.bool_)) for v in vertices)
-            if 0 < flags < len(vertices):
-                raise ValueError("vertex set mixes booleans and vertex ids")
-            if flags:
-                vertices = np.array(vertices, dtype=np.bool_)
-        if isinstance(vertices, np.ndarray) and vertices.dtype == np.bool_:
-            if len(vertices) != self.vertex_count:
-                raise ValueError("mask length does not match vertex count")
-            return vertices.copy()
-        mask = np.zeros(self.vertex_count, dtype=np.bool_)
-        ids = np.fromiter((int(v) for v in vertices), dtype=np.int64)
-        if ids.size:
-            if ids.min() < 0 or ids.max() >= self.vertex_count:
-                raise ValueError("vertex id out of range")
-            mask[ids] = True
-        return mask
+        """Boolean membership mask over the vertex range (see
+        _vertex_mask)."""
+        return _vertex_mask(self.vertex_count, vertices)
 
     @staticmethod
     def set_of(mask: np.ndarray) -> set[int]:

@@ -294,7 +294,7 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
     """
     nothing = np.zeros(len(universe), dtype=np.bool_)
     if not universe.any():
-        return nothing, nothing, [], []
+        return nothing, nothing.copy(), [], []
     d = int(vals[universe].max())
     p_d = universe & (vals == d)
 

@@ -49,6 +49,19 @@ def test_relabel_rejects_vertices_outside_the_range(g6):
         relabel(pf, [n])
     with pytest.raises(ValueError, match="mask length"):
         relabel(pf, np.ones(n - 1, dtype=np.bool_))
+    with pytest.raises(ValueError, match="mask length"):
+        relabel(pf, [True] * (n - 1))
+
+
+def test_relabel_reads_vertex_sets_as_mask_of_does(g6):
+    # a list of booleans is a mask, not the ids 0 and 1
+    pf = pad_to_odd(phi4(g6))
+    flags = [True] + [False] * 5
+    assert relabel(pf, flags) == relabel(pf, [0])
+    assert relabel(pf, [False] * 6) == pf
+    assert relabel(pf, np.array(flags)) == relabel(pf, [0])
+    with pytest.raises(ValueError, match="mixes booleans"):
+        relabel(pf, [True, 3])
 
 
 def _simple_cycles(g, limit):

@@ -244,6 +244,40 @@ def test_strategy_text_errors(g6):
         parse_strategy("a: (d,a)\n", g6)
 
 
+_XG = "parity 2;\n0 0 0 1,2 \"x\";\n1 1 1 0;\n2 0 0 2;\n"
+
+
+@pytest.mark.parametrize("parse, text, sizes, error", [
+    # a line the pattern rejects, after a line with one edge
+    (parse_template, "region: x\ncolive: (x,1)\nunsafe: (x,1) (x,2) (2,2) junk\n",
+     [1, 3], "line 3, column 27: edge of the form (u,v)"),
+    # an edge that does not resolve, at the end of an accepted line
+    (parse_template, "region: x\nunsafe: (x,1) (x,2) (2,2) (2,x)\n",
+     [4, 4], "line 2, column 27: no such edge (2,x)"),
+    # an unknown vertex before a syntax error on the same line
+    (parse_template, "region: x\nunsafe: (x,1) (x,2) (2,7) (2,x\n",
+     [0, 3], "line 2, column 21: unknown vertex '7'"),
+    (parse_strategy, "x: (x,1) (x,2) (2,2)\n",
+     [3, 3], "line 1, column 1: edge (2,2) does not start at x"),
+])
+def test_walker_resolves_a_line_in_one_call(monkeypatch, parse, text, sizes, error):
+    # the reader resolves all accepted lines at once, the walker then
+    # the edges of the failing line at once
+    g, _ = parse_game(_XG)
+    calls = []
+    inner = gameio.resolve_edges
+
+    def spy(g, us, vs):
+        calls.append(len(us))
+        return inner(g, us, vs)
+
+    monkeypatch.setattr(gameio, "resolve_edges", spy)
+    with pytest.raises(ParseError) as err:
+        parse(text, g)
+    assert str(err.value) == error
+    assert calls == sizes
+
+
 def test_strategy_text_uses_ids_without_names():
     g, objectives = generate(GeneratorConfig(
         objective_count=1, max_priority=2, seed=5,

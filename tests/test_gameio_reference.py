@@ -498,6 +498,10 @@ def test_hand_picked_texts_agree():
         "parity 1;\n0 0 0 18446744073709551616;\n1 0 1 0;\n",
         "parity 1;\n0 0 0 1;\n1 0 1 0;\n0 0 0 0;\n",
         "genparity 1 2;\n0 3,9223372036854775807 0 1;\n1 0,0 1 0,1;\n",
+        # an accepted record line that fails a check, then a rejected line
+        "parity 1;\n0 0 0 1;\n0 0 0 1;\n1 0 1 0 junk;\n",
+        "parity 1;\n0 0 0 1;\n5 0 0 0;\n1 x;\n",
+        "genparity 1 2;\n0 0,0 0 1;\n1 0 1 0;\n1 0,0 1 x;\n",
     ]
     for text in games:
         agree(parse_game, ref_parse_game, text,
@@ -509,7 +513,13 @@ def test_hand_picked_texts_agree():
                  "region:\nlive-group:\nlive-group: (1,0) (x,2)\n",
                  "region: x\ncolive: (x,2) (2,x)\n", "region: x\nunsafe: (x,1\n",
                  "region: x \t\nunsafe: (x,1) \t\n", "region: z\nunsafe: (x,9)\n",
-                 "unsafe: (x,9)\nregion: z\n"]:
+                 "unsafe: (x,9)\nregion: z\n",
+                 # an unknown vertex in the region line, before and after
+                 # a line with an unknown edge, then a rejected line
+                 "region: x 7\nunsafe: (x,9)\ncolive: (\n",
+                 "unsafe: (x,9)\nregion: x 7\ncolive: (\n",
+                 # a second region line, then a rejected line
+                 "region: x\nunsafe: (x,1)\nregion: 1\ncolive: (\n"]:
         agree(parse_template, ref_parse_template, text, g, same=_same_template)
     # the normal form template_text writes for a graph without names, or
     # one fault away from it
@@ -533,5 +543,8 @@ def test_hand_picked_texts_agree():
                  "region: 0\ncolive:\nunsafe:\n"]:
         agree(parse_template, ref_parse_template, text, g1, same=_same_template)
     for text in ["x: (x,1) (x,2)\n2: (2,2)\n", "x:\n", "x: (x,1)\nx: (x,2)\n",
-                 "2: (x,1)\n", "1: (1,0)\n", "x: (x,1) junk\n", "x (x,1)\n"]:
+                 "2: (x,1)\n", "1: (1,0)\n", "x: (x,1) junk\n", "x (x,1)\n",
+                 # an accepted line that fails a check, then a rejected line
+                 "x:\n2: junk\n", "x: (x,1) (2,2)\n2: (2,2) junk\n",
+                 "x: (x,1)\n2: (2,2)\nx: (x,2)\n2: junk\n"]:
         agree(parse_strategy, ref_parse_strategy, text, g, same=_same_strategy)

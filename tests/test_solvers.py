@@ -380,6 +380,17 @@ def test_memo_key_ignores_the_integer_dtype(monkeypatch):
     assert steps[0] == 0
 
 
+def test_empty_universe_gives_two_separate_regions():
+    # writing one region of an empty universe leaves the other alone
+    g, pf = rand_game(17, 20, 5)
+    empty = np.zeros(g.vertex_count, dtype=np.bool_)
+    w0, w1, groups, colive = solvers.parity_parts(g, pf.values, empty)
+    assert not np.shares_memory(w0, w1)
+    assert not w0.any() and not w1.any() and groups == [] and colive == []
+    w0[0] = True
+    assert not w1.any()
+
+
 def _solve_time(n, seed):
     cfg = GeneratorConfig(objective_count=1, max_priority=3, seed=seed,
                           vertex_count=n, edge_count=4 * n)

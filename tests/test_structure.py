@@ -15,6 +15,10 @@ meaning raises a real exception, and `python -O` strips asserts.
 The solver and composition modules keep no module-level cache: the
 parity solver's memo lives for one call or one composition fold, since
 library users and the benchmark's worker are long-lived processes.
+
+Every private module-level name of a production module is used by the
+package; a name of the oracle may serve the tests alone.  A refactor
+that leaves a helper or pattern behind fails here.
 """
 import ast
 import sys
@@ -132,3 +136,57 @@ def test_cache_reader_sees_module_level_caches():
               "def f(x):\n    return x\n@cache\ndef g(x):\n    local = {}\n")
     assert sorted(_module_caches(source)) == [2, 3, 4, 5, 8]
     assert list(_module_caches((PACKAGE / "cli.py").read_text(encoding="utf-8")))
+
+
+def _dead_private_names(sources, checked):
+    """(module, name) of each private module-level function, class or
+    variable of the checked modules that no code of the given modules
+    (name -> source) refers to outside its own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = {}  # name -> (module, the nodes of its definition)
+    for module in checked:
+        for node in trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = (module, {id(n) for n in ast.walk(node)})
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add((node.id, id(node)))
+            elif isinstance(node, ast.Attribute):
+                used.add((node.attr, id(node)))
+            elif isinstance(node, ast.alias):
+                used.add((node.name, id(node)))
+    return sorted((module, name) for name, (module, own) in defined.items()
+                  if not any(n == name and i not in own for n, i in used))
+
+
+def _sources(directory, prefix=""):
+    return {prefix + path.name: path.read_text(encoding="utf-8")
+            for path in directory.glob("*.py")}
+
+
+def test_every_private_name_is_used():
+    package = _sources(PACKAGE)
+    production = sorted(name for name in package if name != "oracle.py")
+    assert _dead_private_names(package, production) == []
+    # the oracle is reference code: the tests may be its only callers
+    tests = _sources(Path(__file__).resolve().parent, "tests/")
+    assert _dead_private_names({**package, **tests}, ["oracle.py"]) == []
+
+
+def test_dead_name_reader_sees_unused_names():
+    sources = {"a.py": "import re\n_used = re.compile('x')\n_dead = 1\n"
+                       "def _loop(n):\n    return _loop(n - 1)\n"
+                       "class _Kept:\n    pass\n__all__ = []\n",
+               "b.py": "from .a import _Kept\nprint(_used.pattern)\n_b = 2\n"}
+    assert _dead_private_names(sources, ["a.py"]) == [("a.py", "_dead"), ("a.py", "_loop")]
+    assert _dead_private_names(sources, ["a.py", "b.py"])[-1] == ("b.py", "_b")
