@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from .compose import (ComposeState, add_objective, compose_templates,
                       pad_to_odd, relabel)
-from .fault import (CSV_HEADER, FaultModel, FaultStats, OnlineStrategy,
-                    OnlineStrategyError, delete_edges, fault_correction,
-                    gaf_tolerant, online_strategy, simulate_fault_conflicts)
+from .fault import (CSV_HEADER, FaultStats, OnlineStrategy, OnlineStrategyError,
+                    delete_edges, fault_correction, gaf_tolerant, online_strategy,
+                    simulate_fault_conflicts)
 from .gameio import (ParseError, emit_game, parse_game, parse_strategy,
                      parse_template, strategy_text, template_text)
 from .generator import GeneratorConfig, generate
@@ -48,7 +48,7 @@ __all__ = [
     "Lasso", "Verdict", "verify_strategy",
     "OracleRegions", "OracleSizeError", "zielonka_regions",
     "brute_force_gen_parity_region", "enumerate_winning_positional",
-    "FaultModel", "FaultStats", "OnlineStrategy", "OnlineStrategyError",
+    "FaultStats", "OnlineStrategy", "OnlineStrategyError",
     "delete_edges", "fault_correction", "gaf_tolerant", "online_strategy",
     "simulate_fault_conflicts", "CSV_HEADER",
     "ParseError", "parse_game", "emit_game", "template_text",

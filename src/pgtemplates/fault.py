@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,18 +48,6 @@ def _with_unsafe(g: GameGraph, t: StrategyTemplate, unsafe: np.ndarray) -> Strat
     """The template with the edges of a mask added to its unsafe set."""
     return StrategyTemplate(g, t.unsafe_mask | unsafe, t.colive_mask,
                             t.group_off, t.group_ids, t.region_mask)
-
-
-class FaultModel:
-    """A validated set of fallible player-0 edges; fault_correction and
-    gaf_tolerant accept it in place of an edge collection."""
-
-    __slots__ = ("graph", "faulty")
-
-    def __init__(self, g: GameGraph, faulty: Iterable[Edge]):
-        mask = _fault_mask(g, faulty)
-        self.graph = g
-        self.faulty = frozenset(g.edge_of(int(e)) for e in np.flatnonzero(mask))
 
 
 def delete_edges(g: GameGraph, priorities: PriorityFunction,
@@ -105,8 +93,6 @@ def fault_correction(g: GameGraph, priorities: PriorityFunction,
     delete the edges and solve the parity game again; the returned
     template is then bound to the pruned graph (template.graph).
     """
-    if isinstance(faulty, FaultModel):
-        faulty = faulty.faulty
     mask = _fault_mask(g, faulty)
     if not mask.any():
         return t
@@ -124,8 +110,6 @@ def gaf_tolerant(g: GameGraph, t: StrategyTemplate,
     neither unsafe, co-live, nor fallible: none is a dead vertex of the
     template with the fallible edges marked unsafe.  Returns (ok,
     offending vertices)."""
-    if isinstance(faulty, FaultModel):
-        faulty = faulty.faulty
     dead = find_conflicts(g, _with_unsafe(g, t, _fault_mask(g, faulty))).dead_vertices
     return not dead, dead
 

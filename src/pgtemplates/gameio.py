@@ -11,37 +11,31 @@ Owner 0 is the protagonist.  Lines whose first non-blank character is
 are renumbered densely in ascending id order and emit always writes
 that normal form, so emit(parse(text)) is a fixpoint after one round.
 
-Game and template texts in the normal form, as emit_game and
-template_text write them (single spaces, no comments or blank lines,
-game records with ids 0..n-1 in order and no names, templates of a
-graph without names), are read in one pass over the whole text: one
-fullmatch of all game records, or of each template section, and one
-numpy conversion of all their numbers; where each game record starts
-in that array comes from the byte positions of its commas and
-newlines.  Any other text, and any text that fails a check (a line
-outside the normal form, a number beyond 64 bits, a successor without a
-record, a repeated edge, an unknown vertex or edge), goes to the
-line-by-line parsers, which are the only source of ParseErrors.
+Each format has two readers.  Text in the form the program writes it
+(emit_game, template_text, strategy_text: single spaces, no comments
+or blank lines, game records with ids 0..n-1 in order and a name on
+every record or on none) is read in one pass over the whole text: one
+fullmatch, then one numpy conversion of all numbers, or for a graph
+with names one resolver call for all vertex tokens; where each game
+record or strategy line starts among them comes from the byte
+positions of its commas, parentheses and newlines.  A vertex label
+the writers accept (_LABEL) is the token these passes accept.
 
-The line-by-line parsers also work on whole texts and arrays: one
-ASCII check, one precompiled fullmatch per line, one numpy conversion
-for all numeric tokens and vectorized checks over the resulting arrays.
-They only locate the first line that fails, in line order: one its
-pattern rejects, or one that fails a check (a record's id or
-priorities, an unknown vertex or edge, a strategy line's head or
-moves).  That line goes to the format's walker, a cursor (_Scanner),
-with the state of the lines before it: the ids seen, whether a region
-line was seen, the strategy heads seen.  The walker is the only code
-that builds a line's ParseError, with its 1-based line and column.
+Any other text, and any text that fails a check of the pass, is read
+by the format's line walker: a cursor (_Scanner) that reads one line
+at a time with the state of the lines before it (the ids seen, whether
+a region line was seen, the strategy heads seen).  The walker is the
+only code that builds a line's ParseError, with its 1-based line and
+column; it resolves all tokens of a line in one resolver call and
+reports the first that fails before a later syntax error on that line.
 Errors of the whole text (a missing header, record or region, a
 successor without a record, a repeated edge, a non-ASCII character)
-are built by the readers.
+are built by the walker's loop after the last line.
 """
 from __future__ import annotations
 
 import re
 from itertools import repeat
-from operator import itemgetter
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -66,15 +60,15 @@ class _Scanner:
         self.lineno = lineno
         self.pos = 0
 
-    def error(self, message: str):
+    def error(self, message: str) -> NoReturn:
         raise ParseError(message, self.lineno, self.pos + 1)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
 
-    def take(self, pattern: str, what: str) -> re.Match:
-        m = re.compile(pattern).match(self.text, self.pos)
+    def take(self, pattern: re.Pattern, what: str) -> re.Match:
+        m = pattern.match(self.text, self.pos)
         if m is None:
             self.error("expected %s" % what)
         self.pos = m.end()
@@ -86,9 +80,23 @@ class _Scanner:
             self.error("unexpected trailing text")
 
 
-def _accepted(lineno: int) -> NoReturn:
-    raise RuntimeError("line %d: the cursor accepts a line its pattern "
-                       "rejects" % lineno)
+# what the walkers take
+_KEYWORD = re.compile(r"[A-Za-z]+")
+_NUMBER = re.compile(r"\d+")
+_NUMBER_LIST = re.compile(r"\d+(?:,\d+)*")
+_OWNER = re.compile(r"[01]")
+_QUOTED = re.compile(r'"([^"]*)"')
+_SEMICOLON = re.compile(";")
+_SECTION_LABEL = re.compile(r"[a-z-]+:")
+_VERTEX_TOKEN = re.compile(r"[^\s()]+")
+_HEAD = re.compile(r"[^\s:]+")
+_COLON = re.compile(":")
+_EDGE_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
+
+# a vertex label that every text format reads back to its vertex:
+# printable ASCII but for the quote, parentheses, comma and colon, and
+# no '#' first, which would open a comment on a strategy line
+_LABEL = re.compile(r"(?!#)[!#-'*+\--9;-~]+")
 
 
 # -- lines and numbers ----------------------------------------------------
@@ -110,22 +118,11 @@ def _ascii_prefix(text: str) -> tuple[str, ParseError | None]:
 
 
 def _lines(text: str):
-    """The lines of text, one at a time, without a list of them all."""
-    start = 0
-    while (end := text.find("\n", start)) >= 0:
-        yield text[start:end]
-        start = end + 1
-    yield text[start:]
-
-
-def _line(text: str, lineno: int) -> str:
-    return text.split("\n")[lineno - 1]
-
-
-def _skipped(raw: str) -> bool:
-    """Blank lines and comments."""
-    stripped = raw.strip()
-    return not stripped or stripped[0] == "#"
+    """The numbered lines of text other than blank lines and comments."""
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        stripped = raw.strip()
+        if stripped and stripped[0] != "#":
+            yield lineno, raw
 
 
 def _int_array(joined: str) -> np.ndarray:
@@ -135,14 +132,6 @@ def _int_array(joined: str) -> np.ndarray:
     if vals.size and vals.max() == _INT64_MAX:  # numbers that do not fit saturate
         return np.array([int(t) for t in joined.split(",")], dtype=object)
     return vals
-
-
-def _numbers(joined: str, sep: str) -> np.ndarray:
-    """Validated decimal numbers between single separators as int64,
-    none for the empty string."""
-    if not joined:
-        return np.zeros(0, dtype=np.int64)
-    return np.fromstring(joined, dtype=np.int64, sep=sep)
 
 
 def _counts(fields: Sequence[str]) -> np.ndarray:
@@ -167,56 +156,87 @@ def _regroup(counts: np.ndarray, order: np.ndarray) -> np.ndarray:
             + np.arange(int(lens.sum()), dtype=np.int64))
 
 
+def _line_starts(text: str, mark: str) -> np.ndarray:
+    """For each newline of a text, the number of mark characters before
+    it."""
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.searchsorted(np.flatnonzero(chars == ord(mark)),
+                           np.flatnonzero(chars == ord("\n")))
+
+
+# -- vertex labels -------------------------------------------------------------
+
+
+def _labels(g: GameGraph) -> list[str]:
+    """The tokens the writers use for the vertices of g: its labels, or
+    decimal ids for a graph without names.  A label that is no _LABEL,
+    or that two vertices share, raises ValueError: the readers would not
+    resolve it back to its vertex."""
+    names = g.names
+    if names is None:
+        return list(map(str, range(g.vertex_count)))
+    seen = set()
+    for label in names:
+        if not _LABEL.fullmatch(label) or label in seen:
+            raise ValueError("vertex name %r not serializable" % label)
+        seen.add(label)
+    return names
+
+
+def _pass_token(g: GameGraph) -> str:
+    """The vertex token of the whole-text passes: a decimal id for a
+    graph without names, a label otherwise."""
+    return "[0-9]+" if g.names is None else _LABEL.pattern
+
+
+def _token_ids(g: GameGraph, joined: str) -> np.ndarray:
+    """Vertex ids of the comma-separated tokens of a whole-text pass, -1
+    where a token names no vertex: one numpy conversion for a graph
+    without names (a number too long for 64 bits saturates, and names
+    no vertex either), one resolver call otherwise."""
+    if not joined:
+        return np.zeros(0, dtype=np.int64)
+    if g.names is not None:
+        return _vertex_ids(g, joined.split(","))
+    ids = np.fromstring(joined, dtype=np.int64, sep=",")
+    return np.where(ids < g.vertex_count, ids, -1)
+
+
 # -- game files ------------------------------------------------------------
 
-_HEADER = re.compile(r"[ \t]*(?:parity[ \t]*([0-9]+)"
-                     r"|genparity[ \t]*([0-9]+)(?![0-9])[ \t]*([0-9]+))"
-                     r"[ \t]*;[ \t]*")
-# id, priorities, owner, successors, optional name; the lookaheads make
-# each number and list as long as the cursor would take it
-_RECORD = re.compile(r"[ \t]*([0-9]+)(?![0-9])[ \t]*([0-9]+(?:,[0-9]+)*)(?!,?[0-9])"
-                     r"[ \t]*([01])[ \t]*([0-9]+(?:,[0-9]+)*)(?!,?[0-9])"
-                     r"[ \t]*(?:\"([^\"]*)\"[ \t]*)?;[ \t]*")
 _CANONICAL_HEADER = re.compile(r"(?:parity ([0-9]+)|genparity ([0-9]+) ([0-9]+));\n")
 _RECORD_COMMAS = str.maketrans(" \n", ",,", ";")
 
 
-def _header_error(raw: str, lineno: int) -> NoReturn:
+def _walk_header(raw: str, lineno: int) -> tuple[int, int]:
+    """(max_id, objective count) of a header line."""
     s = _Scanner(raw, lineno)
     s.skip_ws()
-    kw = s.take(r"[A-Za-z]+", "header keyword 'parity' or 'genparity'")
-    if kw.group(0) not in ("parity", "genparity"):
-        s.pos -= len(kw.group(0))
+    kw = s.take(_KEYWORD, "header keyword 'parity' or 'genparity'").group(0)
+    if kw not in ("parity", "genparity"):
+        s.pos -= len(kw)
         s.error("header keyword 'parity' or 'genparity'")
     s.skip_ws()
-    s.take(r"\d+", "maximal vertex id")
-    if kw.group(0) == "genparity":
+    max_id = int(s.take(_NUMBER, "maximal vertex id").group(0))
+    k = 1
+    if kw == "genparity":
         s.skip_ws()
-        if int(s.take(r"\d+", "objective count").group(0)) < 1:
+        k = int(s.take(_NUMBER, "objective count").group(0))
+        if k < 1:
             s.error("objective count must be at least 1")
     s.skip_ws()
-    s.take(r";", "';'")
+    s.take(_SEMICOLON, "';'")
     s.expect_end()
-    _accepted(lineno)
+    return max_id, k
 
 
-def _parse_header(raw: str, lineno: int) -> tuple[int, int]:
-    """(max_id, objective count) of the header line."""
-    m = _HEADER.fullmatch(raw)
-    if m is None or (m.group(3) is not None and int(m.group(3)) < 1):
-        _header_error(raw, lineno)
-    if m.group(1) is not None:
-        return int(m.group(1)), 1
-    return int(m.group(2)), int(m.group(3))
-
-
-def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
-    """Walk the first record line that fails, given the ids of the
-    records before it, making the checks a line-by-line reading makes on
-    the way."""
+def _walk_record(raw: str, lineno: int, max_id: int, k: int, seen) -> tuple[int, tuple]:
+    """The id of a record line, and its priorities, owner, successors,
+    name (None without one) and the line and column of its successors;
+    seen holds the ids of the records before it."""
     s = _Scanner(raw, lineno)
     s.skip_ws()
-    vid = int(s.take(r"\d+", "vertex id").group(0))
+    vid = int(s.take(_NUMBER, "vertex id").group(0))
     if vid > max_id:
         s.pos -= len(str(vid))
         s.error("vertex id %d exceeds declared maximum %d" % (vid, max_id))
@@ -225,7 +245,7 @@ def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
         s.error("duplicate record for vertex %d" % vid)
     s.skip_ws()
     pcol = s.pos + 1
-    prios = s.take(r"\d+(?:,\d+)*", "priority list").group(0)
+    prios = s.take(_NUMBER_LIST, "priority list").group(0)
     got = prios.count(",") + 1
     if got != k:
         raise ParseError("expected %d comma-separated priorities, got %d" % (k, got),
@@ -235,31 +255,18 @@ def _record_error(raw: str, lineno: int, max_id: int, k: int, seen) -> NoReturn:
             raise ParseError("priority %d does not fit in 64 bits" % int(token), lineno, pcol)
         pcol += len(token) + 1
     s.skip_ws()
-    s.take(r"[01]", "owner (0 or 1)")
+    owner = s.take(_OWNER, "owner (0 or 1)").group(0)
     s.skip_ws()
-    s.take(r"\d+(?:,\d+)*", "successor list")
+    scol = s.pos + 1
+    succs = s.take(_NUMBER_LIST, "successor list").group(0)
     s.skip_ws()
+    name = None
     if s.pos < len(s.text) and s.text[s.pos] == '"':
-        s.take(r'"[^"]*"', "closing quote")
+        name = s.take(_QUOTED, "closing quote").group(1)
         s.skip_ws()
-    s.take(r";", "';'")
+    s.take(_SEMICOLON, "';'")
     s.expect_end()
-    _accepted(lineno)
-
-
-def _first_bad_record(vids, prio_f, prios, max_id: int, k: int) -> int:
-    """Index of the first record, in line order, that fails a per-record
-    check (id within the declared maximum, no second record for an id, k
-    priorities, each of which fits in 64 bits); the record count when
-    none does."""
-    dup = np.ones(len(vids), dtype=np.bool_)
-    dup[np.unique(vids, return_index=True)[1]] = False
-    nprio = _counts(prio_f)
-    big = np.zeros(len(vids), dtype=np.bool_)
-    if prios.dtype == object:
-        big[np.repeat(np.arange(len(vids)), nprio)[prios > _INT64_MAX]] = True
-    bad = np.flatnonzero((vids > max_id) | dup | (nprio != k) | big)
-    return int(bad[0]) if bad.size else len(vids)
+    return vid, (prios, owner, succs, name, (lineno, scol))
 
 
 def _game_of_records(vids, prios, owners, deg, targets, name_f):
@@ -309,31 +316,35 @@ def _game_of_records(vids, prios, owners, deg, targets, name_f):
 
 def _canonical_game(text: str):
     """parse_game of a text in the normal form emit_game writes, in one
-    pass over the whole text: single spaces, no comments, blank lines or
-    names, ids 0..n-1 in order.  None for any other text, and for a text
-    with an error, which the per-line path reports."""
+    pass over the whole text: single spaces, no comments or blank lines,
+    ids 0..n-1 in order, a name on every record or on none.  None for
+    any other text, and for a text with an error, which the walker
+    reports."""
     head = _CANONICAL_HEADER.match(text)
     if head is None:
         return None
     max_id, k = int(head.group(1) or head.group(2)), int(head.group(3) or 1)
     start = head.end()
+    name = ' "%s"' % _LABEL.pattern if '"' in text else ""
     # every line after the header is a record; [0-9,]+ is the faster
-    # pattern for the successors, and the finds rule out a successor
-    # list that starts, ends or doubles a comma
+    # pattern for the successors
     if (not 1 <= k <= len(text)
-            or not re.compile(r"(?:[0-9]+ [0-9]+(?:,[0-9]+){%d} [01] [0-9,]+;\n)+"
-                              % (k - 1)).fullmatch(text, start)
-            or ",," in text or " ," in text or ",;" in text):
+            or not re.compile(r"(?:[0-9]+ [0-9]+(?:,[0-9]+){%d} [01] [0-9,]+%s;\n)+"
+                              % (k - 1, name)).fullmatch(text, start)):
+        return None
+    names = None
+    if name:  # a label holds no quote: every other part is a name
+        parts = text.split('"')
+        names, text = parts[1::2], "".join(parts[0::2]).replace(" ;", ";")
+    # the finds rule out a successor list that starts, ends or doubles a comma
+    if ",," in text or " ," in text or ",;" in text:
         return None
     # the numbers of all records: id, k priorities, owner, successors
     nums = np.fromstring(text[start:-1].translate(_RECORD_COMMAS), dtype=np.int64, sep=",")
     if nums.max() == _INT64_MAX:  # a number too long for 64 bits saturates
         return None
-    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     # numbers per record: its commas and three spaces, plus one
-    commas = np.searchsorted(np.flatnonzero(chars == ord(",")),
-                             np.flatnonzero(chars == ord("\n"))[1:])
-    size = np.diff(commas, prepend=0) + 4
+    size = np.diff(_line_starts(text, ",")[1:], prepend=0) + 4
     first = _offsets(size)[:-1]
     n = len(first)
     if n - 1 > max_id or not np.array_equal(nums[first], np.arange(n)):
@@ -343,7 +354,7 @@ def _canonical_game(text: str):
     succ[fields] = False
     return _game_of_records(nums[first], nums[fields[:, 1:-1]].ravel(),
                             nums[fields[:, -1]].astype(np.int8), size - k - 2,
-                            nums[succ], None)[0]
+                            nums[succ], names)[0]
 
 
 def parse_game(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
@@ -353,55 +364,33 @@ def parse_game(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
 
 
 def _parse_game_lines(text: str) -> tuple[GameGraph, list[PriorityFunction]]:
-    """parse_game line by line: any text, and the only source of its
-    ParseErrors."""
+    """parse_game by the line walker: any text, and the only source of
+    its ParseErrors."""
     body, bad_char = _ascii_prefix(text)
-    lines = body.split("\n")
-    # id, priorities, owner, successors and name of every record line
-    fields = [m.groups() if m else None for m in map(_RECORD.fullmatch, lines)]
-    is_record = np.fromiter(map(bool, fields), dtype=np.bool_, count=len(lines))
-    first_record = int(np.argmax(is_record)) if is_record.any() else len(lines)
     header = None  # (max_id, k)
-    rejected = None
-    for i in np.flatnonzero(~is_record).tolist():
-        if _skipped(lines[i]):
-            continue
-        if header is None and i < first_record:
-            header = _parse_header(lines[i], i + 1)
-            continue
-        rejected = i + 1
-        break
-    if header is None and first_record < len(lines):
-        _header_error(lines[first_record], first_record + 1)
-
-    stop = len(lines) if rejected is None else rejected - 1
-    linenos = (np.flatnonzero(is_record[:stop]) + 1).tolist()
-    vids = np.zeros(0, dtype=np.int64)
-    bad = 0
-    if linenos:
-        vid_f, prio_f, owner_f, succ_f, name_f = zip(*filter(None, fields[:stop]))
-        del fields
-        vids = _int_array(",".join(vid_f))
-        prios = _int_array(",".join(prio_f))
-        bad = _first_bad_record(vids, prio_f, prios, *header)
-    if bad < len(linenos) or rejected is not None:
-        lineno = linenos[bad] if bad < len(linenos) else rejected
-        _record_error(lines[lineno - 1], lineno, *header, set(vids[:bad].tolist()))
+    records = {}  # id -> what _walk_record returns for it
+    for lineno, raw in _lines(body):
+        if header is None:
+            header = _walk_header(raw, lineno)
+        else:
+            vid, record = _walk_record(raw, lineno, *header, records)
+            records[vid] = record
     if bad_char is not None:
         raise bad_char
     if header is None:
         raise ParseError("missing header", 1, 1)
-    if not linenos:
+    if not records:
         raise ParseError("no vertex records", 1, 1)
 
+    prio_f, owner_f, succ_f, name_f, where = zip(*records.values())
+    vids = np.array(list(records), dtype=np.int64 if max(records) <= _INT64_MAX else object)
     owners = (np.frombuffer("".join(owner_f).encode("ascii"), dtype=np.uint8)
               - ord("0")).astype(np.int8)
-    parsed, error = _game_of_records(vids, prios, owners, _counts(succ_f),
-                                     _int_array(",".join(succ_f)), name_f)
+    parsed, error = _game_of_records(vids, _int_array(",".join(prio_f)), owners,
+                                     _counts(succ_f), _int_array(",".join(succ_f)), name_f)
     if error is not None:
         r, message = error
-        lineno = linenos[r]
-        raise ParseError(message, lineno, _RECORD.fullmatch(lines[lineno - 1]).start(4) + 1)
+        raise ParseError(message, *where[r])
     return parsed
 
 
@@ -427,10 +416,7 @@ def emit_game(g: GameGraph, objectives) -> str:
     if g.names is None:
         names = [""] * n
     else:
-        for label in g.names:
-            if '"' in label or not label.isascii():
-                raise ValueError("vertex name %r not serializable" % label)
-        names = [' "%s"' % label for label in g.names]
+        names = [' "%s"' % label for label in _labels(g)]
     lines = [header]
     lines.extend("%d %s %d %s%s;" % row for row in
                  zip(range(n), prios, g.owners.tolist(), succs, names))
@@ -494,20 +480,6 @@ def resolve_edges(g: GameGraph, us: Sequence[str], vs: Sequence[str]
     return eids, i, "no such edge (%s,%s)" % (us[i], vs[i])
 
 
-_EDGE_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
-# one edge with the blanks before it: (item, u, v)
-_EDGE_ITEM = re.compile(r"([ \t]*%s)" % _EDGE_RE.pattern)
-
-
-def _edge_list(raw: str, start: int) -> tuple[list[str], list[str]] | None:
-    """The u and v tokens of the edge list raw[start:], or None when its
-    edge items do not tile it, blanks at the end aside."""
-    items = _EDGE_ITEM.findall(raw, start)
-    if sum(map(len, map(itemgetter(0), items))) != len(raw.rstrip(" \t")) - start:
-        return None
-    return list(map(itemgetter(1), items)), list(map(itemgetter(2), items))
-
-
 def _walk_items(s: _Scanner, item: re.Pattern) -> tuple[list[re.Match], list[int]]:
     """The items from the cursor on, each after optional blanks, with
     their columns; the cursor stops after the blanks where no item
@@ -537,10 +509,6 @@ def _walk_edge_list(g: GameGraph, s: _Scanner) -> np.ndarray:
     return eids
 
 
-def _name_list(g: GameGraph) -> list[str]:
-    return g.names if g.names is not None else list(map(str, range(g.vertex_count)))
-
-
 def _edge_tokens(g: GameGraph, ids: np.ndarray, names: list[str]) -> list[str]:
     src = g.edge_sources()[ids].tolist()
     dst = g.edge_targets[ids].tolist()
@@ -559,20 +527,15 @@ def _sorted_edges(g: GameGraph, ids: np.ndarray, group=None) -> np.ndarray:
 
 # -- template text -----------------------------------------------------------
 
-_SECTION = re.compile(r"[ \t]*([a-z-]+):")
-_REGION_BODY = re.compile(r"(?:[ \t]|[^\s()])*")
-_VERTEX_TOKEN = re.compile(r"[^\s()]+")
 _EDGE_SECTIONS = ("unsafe", "colive", "live-group")
-_CANONICAL_REGION = re.compile(r"(?: [0-9]+)*")
-_CANONICAL_EDGES = re.compile(r"(?: \([0-9]+,[0-9]+\))*")
-_EDGE_DIGITS = str.maketrans(" ", ",", "()")
+_EDGE_TOKENS = str.maketrans(" ", ",", "()")
 
 
 def template_text(t: StrategyTemplate) -> str:
     """Render a template: region vertices, unsafe and co-live edge lists,
     one live-group line per group."""
     g = t.graph
-    names = _name_list(g)
+    names = _labels(g)
 
     def edge_list(mask) -> str:
         ids = _sorted_edges(g, np.flatnonzero(mask))
@@ -591,27 +554,28 @@ def template_text(t: StrategyTemplate) -> str:
     return "\n".join(lines) + groups + "\n"
 
 
-def _template_line_error(g: GameGraph, raw: str, lineno: int, has_region: bool) -> NoReturn:
-    """Walk the first template line that fails, given whether a region
-    line came before it: a region line or a section line."""
+def _walk_template_line(g: GameGraph, raw: str, lineno: int,
+                        has_region: bool) -> tuple[str, np.ndarray]:
+    """The section label of a template line and its ids: vertex ids on a
+    region line, edge ids otherwise; has_region tells whether a region
+    line came before it."""
     s = _Scanner(raw, lineno)
     s.skip_ws()
-    head = s.take(r"[a-z-]+:", "section label")
-    label = head.group(0)[:-1]
+    head = s.take(_SECTION_LABEL, "section label").group(0)
+    label = head[:-1]
     if label == "region":
         if has_region:
             s.error("duplicate region section")
         found, cols = _walk_items(s, _VERTEX_TOKEN)
-        _, bad, why = resolve_vertices(g, [m.group(0) for m in found])
+        ids, bad, why = resolve_vertices(g, [m.group(0) for m in found])
         if bad >= 0:
             raise ParseError(why, lineno, cols[bad])
         if s.pos != len(s.text):
             s.error("expected vertex")
-        _accepted(lineno)
+        return label, ids
     if label in _EDGE_SECTIONS:
-        _walk_edge_list(g, s)
-        _accepted(lineno)
-    s.pos -= len(head.group(0))
+        return label, _walk_edge_list(g, s)
+    s.pos -= len(head)
     s.error("unknown section %r" % label)
 
 
@@ -635,13 +599,13 @@ def _template_of(g: GameGraph, region_ids: np.ndarray, eids: np.ndarray,
 
 
 def _canonical_template(text: str, g: GameGraph) -> StrategyTemplate | None:
-    """parse_template of a text in the form template_text writes for a
-    graph without names, in one pass over the whole text: the region,
-    unsafe and colive lines, then the live-group lines, single spaces,
-    no comments or blank lines.  None for any other text, and for a
-    text with an error, which the per-line path reports."""
+    """parse_template of a text in the form template_text writes, in one
+    pass over the whole text: the region, unsafe and colive lines, then
+    the live-group lines, single spaces, no comments or blank lines.
+    None for any other text, and for a text with an error, which the
+    walker reports."""
     lines = text.split("\n")
-    if (g.names is not None or len(lines) < 4 or lines[-1]
+    if (len(lines) < 4 or lines[-1]
             or not lines[0].startswith("region:") or not lines[1].startswith("unsafe:")
             or not lines[2].startswith("colive:")):
         return None
@@ -650,17 +614,16 @@ def _canonical_template(text: str, g: GameGraph) -> StrategyTemplate | None:
         if not line.startswith("live-group:"):
             return None
         bodies.append(line[11:])
-    if not (_CANONICAL_REGION.fullmatch(lines[0], 7)
-            and all(map(_CANONICAL_EDGES.fullmatch, bodies))):
+    tok = _pass_token(g)
+    edges = re.compile(r"(?: \(%s,%s\))*" % (tok, tok))
+    if not (re.compile("(?: %s)*" % tok).fullmatch(lines[0], 7)
+            and all(map(edges.fullmatch, bodies))):
         return None
-    # " 3 5" reads "3 5" and " (u,v) (u,v)" reads "u,v,u,v"; numbers too
-    # long for 64 bits saturate, so they fail the bound below
-    region_ids = _numbers(lines[0][8:], " ")
-    ends = _numbers("".join(bodies).translate(_EDGE_DIGITS)[1:], ",")
-    if (region_ids >= g.vertex_count).any():
-        return None
+    # " a b" reads "a,b" and " (u,v) (u,v)" reads "u,v,u,v"
+    region_ids = _token_ids(g, lines[0][8:].replace(" ", ","))
+    ends = _token_ids(g, "".join(bodies).translate(_EDGE_TOKENS)[1:])
     eids = g.edge_ids(ends[0::2], ends[1::2])
-    if (eids < 0).any():
+    if (region_ids < 0).any() or (eids < 0).any():
         return None
     labels = ["unsafe", "colive"] + ["live-group"] * (len(bodies) - 2)
     return _template_of(g, region_ids, eids, labels, [b.count("(") for b in bodies])
@@ -672,77 +635,50 @@ def parse_template(text: str, g: GameGraph) -> StrategyTemplate:
 
 
 def _parse_template_lines(text: str, g: GameGraph) -> StrategyTemplate:
-    """parse_template line by line: any text, and the only source of its
-    ParseErrors."""
+    """parse_template by the line walker: any text, and the only source
+    of its ParseErrors."""
     body, bad_char = _ascii_prefix(text)
-    region = None  # (lineno, tokens)
-    sections = []  # (lineno, label, index of its first edge)
-    us: list[str] = []
-    vs: list[str] = []
-    rejected = None
-    for lineno, raw in enumerate(_lines(body), 1):
-        if _skipped(raw):
-            continue
-        m = _SECTION.match(raw)
-        label = m.group(1) if m else None
-        if label == "region" and region is None and _REGION_BODY.fullmatch(raw, m.end()):
-            region = (lineno, raw[m.end():].split())
-            continue
-        found = _edge_list(raw, m.end()) if label in _EDGE_SECTIONS else None
-        if found is None:
-            rejected = lineno
-            break
-        sections.append((lineno, label, len(us)))
-        us.extend(found[0])
-        vs.extend(found[1])
-
-    # the first line that fails, in line order: one holding a token that
-    # does not resolve, or the rejected line
-    failing = [] if rejected is None else [rejected]
-    if region is not None:
-        region_ids, bad, _ = resolve_vertices(g, region[1])
-        if bad >= 0:
-            failing.append(region[0])
-    eids, bad, _ = resolve_edges(g, us, vs)
-    firsts = [sec[2] for sec in sections]
-    if bad >= 0:
-        failing.append(sections[int(np.searchsorted(firsts, bad, side="right")) - 1][0])
-    if failing:
-        lineno = min(failing)
-        _template_line_error(g, _line(text, lineno), lineno,
-                             region is not None and region[0] < lineno)
+    region_ids = None
+    labels = []
+    sections = []  # the edge ids of each section line
+    for lineno, raw in _lines(body):
+        label, ids = _walk_template_line(g, raw, lineno, region_ids is not None)
+        if label == "region":
+            region_ids = ids
+        else:
+            labels.append(label)
+            sections.append(ids)
     if bad_char is not None:
         raise bad_char
-    if region is None:
+    if region_ids is None:
         raise ParseError("missing region section", 1, 1)
-
-    return _template_of(g, region_ids, eids, [sec[1] for sec in sections],
-                        np.diff(firsts + [len(us)]))
+    eids = np.concatenate([np.zeros(0, dtype=np.int64), *sections])
+    return _template_of(g, region_ids, eids, labels, list(map(len, sections)))
 
 
 # -- strategy text -------------------------------------------------------------
 
-_STRATEGY_LINE = re.compile(r"[ \t]*([^\s:]+)[ \t]*:")
+_STRATEGY_TOKENS = str.maketrans(" \n", ",,", ":()")
 
 
 def strategy_text(s: Strategy) -> str:
     """One line per vertex with moves, edges in rotation order."""
     g = s.graph
-    names = _name_list(g)
+    names = _labels(g)
     tokens = _edge_tokens(g, s._order, names)
     off = s._off.tolist()
     return "\n".join("%s: %s" % (names[v], " ".join(tokens[off[v]:off[v + 1]]))
                      for v in s.domain_vertices().tolist()) + "\n"
 
 
-def _strategy_line_error(g: GameGraph, raw: str, lineno: int, seen) -> NoReturn:
-    """Walk the first strategy line that fails, given the vertices of
-    the lines before it, making the checks a line-by-line reading makes
-    on the way."""
+def _walk_strategy_line(g: GameGraph, raw: str, lineno: int,
+                        seen) -> tuple[int, np.ndarray]:
+    """The vertex of a strategy line and the edge ids of its moves; seen
+    holds the vertices of the lines before it."""
     s = _Scanner(raw, lineno)
     s.skip_ws()
     col = s.pos + 1
-    tok = s.take(r"[^\s:]+", "vertex").group(0)
+    tok = s.take(_HEAD, "vertex").group(0)
     ids, bad, why = resolve_vertices(g, [tok])
     if bad >= 0:
         raise ParseError(why, lineno, col)
@@ -752,7 +688,7 @@ def _strategy_line_error(g: GameGraph, raw: str, lineno: int, seen) -> NoReturn:
     if v in seen:
         raise ParseError("duplicate line for vertex %r" % tok, lineno, col)
     s.skip_ws()
-    s.take(r":", "':'")
+    s.take(_COLON, "':'")
     eids = _walk_edge_list(g, s)
     if not eids.size:
         s.error("empty move list")
@@ -761,54 +697,64 @@ def _strategy_line_error(g: GameGraph, raw: str, lineno: int, seen) -> NoReturn:
         u, w = g.edge_of(int(foreign[0]))
         raise ParseError("edge (%s,%s) does not start at %s"
                          % (g.name_of(u), g.name_of(w), tok), lineno, col)
-    _accepted(lineno)
+    return v, eids
 
 
-def parse_strategy(text: str, g: GameGraph) -> Strategy:
-    body, bad_char = _ascii_prefix(text)
-    rows = []  # (lineno, index of its first edge)
-    heads: list[str] = []
-    us: list[str] = []
-    vs: list[str] = []
-    rejected = None
-    for lineno, raw in enumerate(_lines(body), 1):
-        if _skipped(raw):
-            continue
-        m = _STRATEGY_LINE.match(raw)
-        found = _edge_list(raw, m.end()) if m else None
-        if found is None:
-            rejected = lineno
-            break
-        rows.append((lineno, len(us)))
-        heads.append(m.group(1))
-        us.extend(found[0])
-        vs.extend(found[1])
-
-    vids = _vertex_ids(g, heads)
-    eids, _, _ = resolve_edges(g, us, vs)
-    counts = np.diff([r[1] for r in rows] + [len(us)]).astype(np.int64)
-    row_of = np.repeat(np.arange(len(rows)), counts)
-    dup = np.ones(len(vids), dtype=np.bool_)
-    dup[np.unique(vids, return_index=True)[1]] = False
-    bad_row = (vids < 0) | dup | (counts == 0)
-    bad_row[vids >= 0] |= g.owners[vids[vids >= 0]] != PLAYER0
-    src = g.edge_sources()
-    bad_row[row_of[(eids < 0) | (src[eids] != vids[row_of])]] = True
-    # the first line that fails: a row that fails a check, or the
-    # rejected line after all rows
-    r = int(np.argmax(bad_row)) if bad_row.any() else len(rows)
-    if r < len(rows) or rejected is not None:
-        lineno = rows[r][0] if r < len(rows) else rejected
-        _strategy_line_error(g, _line(text, lineno), lineno, set(vids[:r].tolist()))
-    if bad_char is not None:
-        raise bad_char
-
+def _strategy_of(g: GameGraph, vids: np.ndarray, counts: np.ndarray,
+                 eids: np.ndarray) -> Strategy:
+    """The strategy of lines for distinct player-0 vertices, given their
+    numbers of moves and all move edge ids in line order."""
     n = g.vertex_count
     per_vertex = np.zeros(n, dtype=np.int64)
     per_vertex[vids] = counts
-    by_vertex = np.argsort(vids, kind="stable")
-    order = eids[_regroup(counts, by_vertex)]
+    order = eids[_regroup(counts, np.argsort(vids, kind="stable"))]
     region = np.zeros(n, dtype=np.bool_)
     region[vids] = True
     return Strategy(g, _offsets(per_vertex), order,
                     np.zeros(len(order), dtype=np.bool_), region)
+
+
+def _canonical_strategy(text: str, g: GameGraph) -> Strategy | None:
+    """parse_strategy of a text in the form strategy_text writes, in one
+    pass over the whole text: a line "v: (v,w) ..." for each vertex with
+    moves, single spaces, no comments or blank lines.  None for any
+    other text, and for a text with an error, which the walker
+    reports."""
+    tok = _pass_token(g)
+    if not re.compile(r"(?:%s:(?: \(%s,%s\))+\n)+" % (tok, tok, tok)).fullmatch(text):
+        return None
+    # "v: (v,w) (v,x)" reads "v,v,w,v,x": the head, then two per move
+    moves = np.diff(_line_starts(text, "("), prepend=0)
+    ids = _token_ids(g, text[:-1].translate(_STRATEGY_TOKENS))
+    first = _offsets(2 * moves + 1)[:-1]
+    heads = ids[first]
+    is_end = np.ones(len(ids), dtype=np.bool_)
+    is_end[first] = False
+    ends = ids[is_end]
+    us, vs = ends[0::2], ends[1::2]
+    eids = g.edge_ids(us, vs)
+    if ((heads < 0).any() or (eids < 0).any() or (g.owners[heads] != PLAYER0).any()
+            or not np.array_equal(us, np.repeat(heads, moves))
+            or len(np.unique(heads)) < len(heads)):
+        return None
+    return _strategy_of(g, heads, moves, eids)
+
+
+def parse_strategy(text: str, g: GameGraph) -> Strategy:
+    parsed = _canonical_strategy(text, g)
+    return parsed if parsed is not None else _parse_strategy_lines(text, g)
+
+
+def _parse_strategy_lines(text: str, g: GameGraph) -> Strategy:
+    """parse_strategy by the line walker: any text, and the only source
+    of its ParseErrors."""
+    body, bad_char = _ascii_prefix(text)
+    rows = {}  # vertex -> the edge ids of its line, in line order
+    for lineno, raw in _lines(body):
+        v, eids = _walk_strategy_line(g, raw, lineno, rows)
+        rows[v] = eids
+    if bad_char is not None:
+        raise bad_char
+    return _strategy_of(g, np.array(list(rows), dtype=np.int64),
+                        np.array(list(map(len, rows.values())), dtype=np.int64),
+                        np.concatenate([np.zeros(0, dtype=np.int64), *rows.values()]))

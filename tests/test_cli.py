@@ -247,6 +247,18 @@ def test_non_ascii_byte_reports_its_position(capsys, tmp_path, name, text, argv,
     assert err == "parse error: %s: non-ASCII character\n" % where
 
 
+@pytest.mark.parametrize("names,label", [
+    (('"a b"', '"c"'), "a b"),  # would read back as the two tokens a and b
+    (('"a"', '"a"'), "a"),      # two vertices would share the token a
+])
+def test_unserializable_name_exit_code(capsys, tmp_path, names, label):
+    game = tmp_path / "named.gpg"
+    game.write_text("parity 1;\n0 0 0 0,1 %s;\n1 0 0 1 %s;\n" % names)
+    code, _, err = run(capsys, "solve", str(game))
+    assert code == 2
+    assert err == "error: vertex name %r not serializable\n" % label
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.gpg"))
     assert code == 2

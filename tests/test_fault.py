@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import (FaultModel, GameGraph, OnlineStrategy, OnlineStrategyError,
+from pgtemplates import (GameGraph, OnlineStrategy, OnlineStrategyError,
                          PriorityFunction, StrategyTemplate, conjoin,
                          delete_edges, extract_strategy, fault_correction,
                          find_conflicts, gaf_tolerant, online_strategy,
@@ -25,11 +25,9 @@ def psi13(g):
             g, colive=edges(g, ("a", "b"), ("d", "b"), ("d", "e"))))
 
 
-def test_fault_model_validation(g6):
-    fm = FaultModel(g6, edges(g6, ("a", "d")))
-    assert fm.faulty == frozenset(edges(g6, ("a", "d")))
+def test_gaf_tolerant_rejects_player1_faulty_edges(g6):
     with pytest.raises(ValueError, match="player-0"):
-        FaultModel(g6, edges(g6, ("b", "a")))
+        gaf_tolerant(g6, psi2(g6), edges(g6, ("b", "a")))
 
 
 def test_delete_edges_repairs_dead_ends(g6):

@@ -78,6 +78,16 @@ def test_parse_comments_and_blank_lines():
     assert g.vertex_count == 1
 
 
+_UNREADABLE = ['say "hi"', "caf\u00e9", "a\nb", "a\rb", "a b", "a\tb", "(a)", "a,b",
+               "a:b", "#a", "", "v1"]
+
+
+def _relabeled(g, label, at=3):
+    names = ["v%d" % v for v in g.vertices()]
+    names[at] = label
+    return GameGraph(g.owners, g.succ_offsets(), g.edge_targets, names)
+
+
 def test_emit_rejects_unserializable():
     g = six_game()
     with pytest.raises(ValueError, match="at least one objective"):
@@ -85,13 +95,38 @@ def test_emit_rejects_unserializable():
     with pytest.raises(ValueError, match="cover"):
         emit_game(g, [PriorityFunction([0])])
     pf = PriorityFunction([0] * g.vertex_count)
-    for label in ('say "hi"', "caf\u00e9"):
-        names = ["v%d" % v for v in g.vertices()]
-        names[3] = label
-        named = GameGraph(g.owners, g.succ_offsets(), g.edge_targets, names)
+    # "v1" is the label of vertex 1 as well
+    for label in _UNREADABLE:
         with pytest.raises(ValueError, match=re.escape(
                 "vertex name %r not serializable" % label)):
-            emit_game(named, [pf])
+            emit_game(_relabeled(g, label), [pf])
+
+
+@pytest.mark.parametrize("label", _UNREADABLE)
+def test_template_and_strategy_text_reject_unserializable(label):
+    named = _relabeled(six_game(), label)
+    t = StrategyTemplate.unconstrained(named)
+    s = extract_strategy(named, t)
+    for write, value in [(template_text, t), (strategy_text, s)]:
+        with pytest.raises(ValueError, match=re.escape(
+                "vertex name %r not serializable" % label)):
+            write(value)
+
+
+def test_serializable_labels_read_back_in_every_format():
+    g = six_game()
+    pf = PriorityFunction([0] * g.vertex_count)
+    # labels that are ids of other vertices, or hold '#' after the first
+    # character, resolve to their own vertex
+    named = GameGraph(g.owners, g.succ_offsets(), g.edge_targets,
+                      ["3", "0", "a#b", "x'-+", "[v]", "!"])
+    text = emit_game(named, [pf])
+    g2, _ = parse_game(text)
+    assert g2.names == named.names and emit_game(g2, [pf]) == text
+    t = StrategyTemplate.from_edges(g2, unsafe=[(0, 1)], region=[0, 1, 2, 3])
+    assert parse_template(template_text(t), g2) == t
+    s = extract_strategy(g2, t)
+    assert strategy_text(parse_strategy(strategy_text(s), g2)) == strategy_text(s)
 
 
 @pytest.mark.parametrize("text,msg,line,col", [
@@ -126,7 +161,7 @@ def test_parse_errors_carry_position(text, msg, line, col):
 
 
 def _spy(monkeypatch, name):
-    """Calls of the per-line parser `name` of pgtemplates.gameio."""
+    """Calls of the line-walker loop `name` of pgtemplates.gameio."""
     calls = []
     inner = getattr(gameio, name)
 
@@ -138,31 +173,57 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _same_strategy(a, b):
+    return (np.array_equal(a._off, b._off) and np.array_equal(a._order, b._order)
+            and np.array_equal(a.region_mask, b.region_mask))
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_canonical_texts_take_the_whole_text_pass(monkeypatch, k):
     g, objectives = generate(GeneratorConfig(
         objective_count=k, max_priority=5, seed=k, vertex_count=2000, edge_count=8000))
+    spies = [_spy(monkeypatch, name) for name in
+             ("_parse_game_lines", "_parse_template_lines", "_parse_strategy_lines")]
+    _check_whole_text_pass(g, objectives, *spies)
+    for calls in spies:
+        calls.clear()
+    named = GameGraph(g.owners, g.succ_offsets(), g.edge_targets,
+                      ["v%d" % v for v in g.vertices()])
+    _check_whole_text_pass(named, objectives, *spies)
+
+
+def _check_whole_text_pass(g, objectives, game_lines, template_lines, strategy_lines):
+    """The texts the writers write for g take the whole-text pass and
+    read back byte for byte; texts one edit away take the walker, whose
+    calls the spies log."""
+    named = g.names is not None
     text = emit_game(g, objectives)
-    game_lines = _spy(monkeypatch, "_parse_game_lines")
-    template_lines = _spy(monkeypatch, "_parse_template_lines")
     g2, parsed = parse_game(text)
     t = parity_template(g2, parsed[0]).template
     ttext = template_text(t)
     assert "live-group: " in ttext and "colive: (" in ttext
     back = parse_template(ttext, g2)
-    assert game_lines == [] and template_lines == []
-    assert emit_game(g2, parsed) == text
+    s = extract_strategy(g2, t)
+    stext = strategy_text(s)
+    sback = parse_strategy(stext, g2)
+    assert game_lines == [] and template_lines == [] and strategy_lines == []
+    assert g2.names == g.names and emit_game(g2, parsed) == text
     assert back == t and template_text(back) == ttext
     assert np.array_equal(back.group_off, t.group_off)
     assert np.array_equal(back.group_ids, t.group_ids)
+    assert np.array_equal(sback._off, s._off) and np.array_equal(sback._order, s._order)
+    assert strategy_text(sback) == stext
 
-    # one comment line, a doubled space or a name leave the normal form;
-    # the per-line parser reads them to the same game
+    # one comment line, a doubled space or a name on only some records
+    # leave the form the writers write; the walker reads them to the
+    # same value
     head, first, rest = text.split("\n", 2)
-    for other, names in [(head + "\n# comment\n" + first + "\n" + rest, None),
-                         (head + "\n" + first.replace(" ", "  ", 1) + "\n" + rest, None),
-                         (head + "\n" + first[:-1] + ' "v0";\n' + rest,
-                          ["v0"] + [str(v) for v in range(1, 2000)])]:
+    partial = (head + "\n" + first.replace(' "v0"', "") + "\n" + rest if named
+               else head + "\n" + first[:-1] + ' "v0";\n' + rest)
+    for other, names in [(head + "\n# comment\n" + first + "\n" + rest, g.names),
+                         (head + "\n" + first.replace(" ", "  ", 1) + "\n" + rest, g.names),
+                         (partial, ["0" if named else "v0"]
+                          + ["v%d" % v if named else str(v) for v in range(1, 2000)])]:
         g3, parsed3 = parse_game(other)
         assert game_lines[-1] == other
         assert g3.names == names
@@ -176,7 +237,11 @@ def test_canonical_texts_take_the_whole_text_pass(monkeypatch, k):
         again = parse_template(other, g2)
         assert template_lines[-1] == other
         assert again == t and np.array_equal(again.group_ids, t.group_ids)
-    assert len(game_lines) == 3 and len(template_lines) == 2
+    line, rest = stext.split("\n", 1)
+    for other in ["# comment\n" + stext, line.replace(" ", "  ", 1) + "\n" + rest]:
+        assert _same_strategy(parse_strategy(other, g2), sback)
+        assert strategy_lines[-1] == other
+    assert len(game_lines) == 3 and len(template_lines) == 2 and len(strategy_lines) == 2
 
 
 def test_parse_error_rendering():
@@ -253,16 +318,15 @@ _XG = "parity 2;\n0 0 0 1,2 \"x\";\n1 1 1 0;\n2 0 0 2;\n"
      [1, 3], "line 3, column 27: edge of the form (u,v)"),
     # an edge that does not resolve, at the end of an accepted line
     (parse_template, "region: x\nunsafe: (x,1) (x,2) (2,2) (2,x)\n",
-     [4, 4], "line 2, column 27: no such edge (2,x)"),
+     [4], "line 2, column 27: no such edge (2,x)"),
     # an unknown vertex before a syntax error on the same line
     (parse_template, "region: x\nunsafe: (x,1) (x,2) (2,7) (2,x\n",
-     [0, 3], "line 2, column 21: unknown vertex '7'"),
+     [3], "line 2, column 21: unknown vertex '7'"),
     (parse_strategy, "x: (x,1) (x,2) (2,2)\n",
-     [3, 3], "line 1, column 1: edge (2,2) does not start at x"),
+     [3], "line 1, column 1: edge (2,2) does not start at x"),
 ])
 def test_walker_resolves_a_line_in_one_call(monkeypatch, parse, text, sizes, error):
-    # the reader resolves all accepted lines at once, the walker then
-    # the edges of the failing line at once
+    # the walker resolves the edges of each line it reads in one call
     g, _ = parse_game(_XG)
     calls = []
     inner = gameio.resolve_edges

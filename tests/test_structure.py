@@ -19,6 +19,10 @@ library users and the benchmark's worker are long-lived processes.
 Every private module-level name of a production module is used by the
 package; a name of the oracle may serve the tests alone.  A refactor
 that leaves a helper or pattern behind fails here.
+
+No production function compiles a constant pattern: the line walkers
+take one per token of every line they read, so constant patterns are
+compiled once, at module level.
 """
 import ast
 import sys
@@ -190,3 +194,43 @@ def test_dead_name_reader_sees_unused_names():
                "b.py": "from .a import _Kept\nprint(_used.pattern)\n_b = 2\n"}
     assert _dead_private_names(sources, ["a.py"]) == [("a.py", "_dead"), ("a.py", "_loop")]
     assert _dead_private_names(sources, ["a.py", "b.py"])[-1] == ("b.py", "_b")
+
+
+RE_FUNCTIONS = {"compile", "match", "fullmatch", "search", "findall", "finditer",
+                "sub", "subn", "split"}
+
+
+def _constant_patterns(source):
+    """Line numbers of the calls inside functions of re.compile, or of
+    another re function that compiles its pattern, on a constant string
+    or on a parameter of the function, which its callers may pass as a
+    constant."""
+    for top in ast.walk(ast.parse(source)):
+        if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        params = {a.arg for a in top.args.posonlyargs + top.args.args + top.args.kwonlyargs}
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                    and node.func.attr in RE_FUNCTIONS and node.args):
+                continue
+            pattern = node.args[0]
+            if (isinstance(pattern, ast.Constant) and isinstance(pattern.value, str)
+                    or isinstance(pattern, ast.Name) and pattern.id in params):
+                yield node.lineno
+
+
+def test_no_function_compiles_a_constant_pattern():
+    found = sorted({(path.name, line) for path in PACKAGE.glob("*.py")
+                    if path.name != "oracle.py"
+                    for line in _constant_patterns(path.read_text(encoding="utf-8"))})
+    assert found == []
+
+
+def test_pattern_reader_sees_constant_patterns():
+    source = ("import re\n_P = re.compile('x')\n"
+              "def f(s, k):\n    re.compile('%d' % k)\n"
+              "    return re.compile(r'a+').match(s)\n"
+              "class C:\n    def take(self, pattern):\n        p = _P\n"
+              "        re.compile(p)\n        return re.compile(pattern).match(self.s)\n")
+    assert sorted(set(_constant_patterns(source))) == [5, 10]
