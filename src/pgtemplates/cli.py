@@ -18,7 +18,8 @@ from .fault import (CSV_HEADER, FaultStats, fault_correction, gaf_tolerant,
                     simulate_fault_conflicts)
 from .gameio import (ParseError, _EDGE_RE, emit_game, parse_game,
                      parse_strategy, parse_template, resolve_edges,
-                     resolve_vertices, strategy_text, template_text)
+                     resolve_vertices, strategy_text, template_text,
+                     vertex_text)
 from .generator import GeneratorConfig, generate
 from .graph import GameGraph, GraphBuildError
 from .oracle import OracleSizeError, brute_force_gen_parity_region, zielonka_regions
@@ -51,19 +52,14 @@ def _vertex_args(g: GameGraph, text: str):
     return ids.tolist()
 
 
-def _vertex_list(g: GameGraph, mask) -> str:
-    """Names of the vertices of a boolean mask, ascending by id."""
-    names = g.names
-    return " ".join(map(str if names is None else names.__getitem__,
-                        mask.nonzero()[0].tolist()))
+def _region(g: GameGraph, mask) -> str:
+    """The vertices of a boolean mask, ascending by id, or (empty)."""
+    return vertex_text(g, np.flatnonzero(mask)) or "(empty)"
 
 
-def _id_mask(g: GameGraph, ids) -> np.ndarray:
-    """Boolean mask of a collection of vertex ids the program produced;
-    unlike GameGraph.mask_of it does not check them one by one."""
-    mask = np.zeros(g.vertex_count, dtype=np.bool_)
-    mask[np.fromiter(ids, dtype=np.int64, count=len(ids))] = True
-    return mask
+def _sorted_ids(ids) -> np.ndarray:
+    """A collection of vertex ids the program produced, ascending."""
+    return np.sort(np.fromiter(ids, dtype=np.int64, count=len(ids)))
 
 
 _EDGE_ARG = re.compile(r"[ ,\t]*" + _EDGE_RE.pattern)
@@ -96,19 +92,23 @@ def _pick_objective(objectives, index: int):
     return objectives[index]
 
 
-def _emit_template(t, output: str | None) -> None:
-    text = template_text(t)
-    sys.stdout.write(text)
+def _emit(lines: str, text: str, output: str | None) -> None:
+    """Write text to the output file, when one is given, then lines and
+    text to standard output.  Callers render all of it first, and the
+    file goes first, so a command that fails writes nothing to standard
+    output."""
     if output:
         _write(output, text)
+    sys.stdout.write(lines)
+    sys.stdout.write(text)
 
 
 def _cmd_solve(args) -> int:
     g, objectives = _load_game(args.file)
     pf = _pick_objective(objectives, args.objective)
     result = parity_template(g, pf)
-    print("W0: " + _vertex_list(g, result.w0_mask))
-    _emit_template(result.template, args.output)
+    _emit("W0: %s\n" % _region(g, result.w0_mask), template_text(result.template),
+          args.output)
     return 0
 
 
@@ -120,21 +120,21 @@ GAP_NOTE = ("note: composition is sound but not complete; an empty region "
 def _cmd_compose(args) -> int:
     g, objectives = _load_game(args.file)
     state = ComposeState.initial(g)
+    lines = []
     if args.incremental:
         t0 = time.perf_counter()
         template = None
         for step, pf in enumerate(objectives, 1):
             state, template = add_objective(g, state, pf)
             elapsed = time.perf_counter() - t0
-            print("step %d: W0 = %s (cumulative %.3fs)"
-                  % (step, _vertex_list(g, state.w0_mask) or "(empty)",
-                     elapsed))
+            lines.append("step %d: W0 = %s (cumulative %.3fs)\n"
+                         % (step, _region(g, state.w0_mask), elapsed))
     else:
         state, template = compose_templates(g, state, objectives)
-        print("W0: " + (_vertex_list(g, state.w0_mask) or "(empty)"))
+        lines.append("W0: %s\n" % _region(g, state.w0_mask))
     if not state.w0_mask.any():
-        print(GAP_NOTE)
-    _emit_template(template, args.output)
+        lines.append(GAP_NOTE + "\n")
+    _emit("".join(lines), template_text(template), args.output)
     return 0
 
 
@@ -142,10 +142,7 @@ def _cmd_extract(args) -> int:
     g, _ = _load_game(args.file)
     t = parse_template(_read(args.template), g)
     s = extract_strategy(g, t)
-    text = strategy_text(s)
-    sys.stdout.write(text)
-    if args.output:
-        _write(args.output, text)
+    _emit("", strategy_text(s), args.output)
     return 0
 
 
@@ -161,13 +158,13 @@ def _cmd_verify(args) -> int:
         start = _vertex_args(g, args.start)
     verdict = verify_strategy(g, s, objectives, start=start)
     if verdict.is_winning:
-        print("winning from: " + _vertex_list(g, _id_mask(g, verdict.queried)))
+        print("winning from: " + vertex_text(g, _sorted_ids(verdict.queried)))
         return 0
-    print("not winning from: " + _vertex_list(g, _id_mask(g, verdict.losing_from)))
+    print("not winning from: " + vertex_text(g, _sorted_ids(verdict.losing_from)))
     lasso = verdict.counterexample
     if lasso is not None:
-        print("counterexample prefix: " + " ".join(g.name_of(v) for v in lasso.prefix))
-        print("counterexample cycle: " + " ".join(g.name_of(v) for v in lasso.cycle))
+        print("counterexample prefix: " + vertex_text(g, lasso.prefix))
+        print("counterexample cycle: " + vertex_text(g, lasso.cycle))
     return 4
 
 
@@ -180,15 +177,15 @@ def _cmd_fault(args) -> int:
         if ok:
             print("tolerant: every region vertex keeps a usable edge")
             return 0
-        print("vulnerable at: " + _vertex_list(g, _id_mask(g, offenders)))
+        print("vulnerable at: " + vertex_text(g, _sorted_ids(offenders)))
         return 4
     pf = _pick_objective(objectives, args.objective)
     adapted = fault_correction(g, pf, t, faulty)
     if adapted.graph is g:
-        print("adapted by marking the faulty edges unsafe")
+        message = "adapted by marking the faulty edges unsafe\n"
     else:
-        print("conflict; re-solved on the graph without the faulty edges")
-    _emit_template(adapted, args.output)
+        message = "conflict; re-solved on the graph without the faulty edges\n"
+    _emit(message, template_text(adapted), args.output)
     return 0
 
 
@@ -212,8 +209,8 @@ def _cmd_oracle(args) -> int:
         w0 = regions.w0_mask
     else:
         w0 = brute_force_gen_parity_region(g, objectives)
-    print("W0: " + (_vertex_list(g, w0) or "(empty)"))
-    print("W1: " + (_vertex_list(g, ~w0) or "(empty)"))
+    print("W0: " + _region(g, w0))
+    print("W1: " + _region(g, ~w0))
     return 0
 
 

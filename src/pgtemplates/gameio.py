@@ -31,6 +31,15 @@ reports the first that fails before a later syntax error on that line.
 Errors of the whole text (a missing header, record or region, a
 successor without a record, a repeated edge, a non-ASCII character)
 are built by the walker's loop after the last line.
+
+The writers (emit_game, template_text, strategy_text, vertex_text) make
+no Python string per vertex or edge.  Each graph gets one label table,
+built on first use and cached on the graph: the bytes of all its
+labels back to back with the start and size of each, followed by the
+few literals the formats put between labels.  Building it runs the
+label check, once per graph.  A writer lays its text out as rows of
+table entries and _render gathers their bytes from the table with
+numpy, in chunks of bounded size.
 """
 from __future__ import annotations
 
@@ -167,20 +176,117 @@ def _line_starts(text: str, mark: str) -> np.ndarray:
 # -- vertex labels -------------------------------------------------------------
 
 
-def _labels(g: GameGraph) -> list[str]:
-    """The tokens the writers use for the vertices of g: its labels, or
-    decimal ids for a graph without names.  A label that is no _LABEL,
-    or that two vertices share, raises ValueError: the readers would not
-    resolve it back to its vertex."""
-    names = g.names
-    if names is None:
-        return list(map(str, range(g.vertex_count)))
-    seen = set()
-    for label in names:
-        if not _LABEL.fullmatch(label) or label in seen:
-            raise ValueError("vertex name %r not serializable" % label)
-        seen.add(label)
-    return names
+# The writers render text from a label table: the ASCII bytes of all
+# vertex labels back to back, then those of the literals below, with the
+# start and size of each entry.  Entry v is the label of vertex v; a
+# literal is a negative entry, counted from the end of the table.
+_LITERALS = ("", " ", "(", ",", ")", "\n", ": ", "\nlive-group: ",
+             "region:", "\nunsafe:", "\ncolive:")
+(_EMPTY, _BLANK, _OPEN, _COMMA, _CLOSE, _NEWLINE, _HEAD_END, _GROUP,
+ _REGION, _UNSAFE, _COLIVE) = range(-len(_LITERALS), 0)
+_LABEL_LIST = re.compile(r"(?:%s )*" % _LABEL.pattern)
+_CHUNK = 16384  # entries per gather, which bounds its index arrays
+
+
+def _extended(table, data: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """The table with more entries after its labels and before its
+    literals: the bytes of data at the given starts and sizes."""
+    old_data, old_start, old_size = table
+    k = len(old_start) - len(_LITERALS)  # the entries before the literals
+    at = int(old_start[k])
+    return (np.concatenate([old_data[:at], data, old_data[at:]]),
+            np.concatenate([old_start[:k], at + start, old_start[k:] + len(data)]),
+            np.concatenate([old_size[:k], size, old_size[k:]]))
+
+
+def _texts(texts: Sequence[str]):
+    """The bytes, starts and sizes of texts, for _extended."""
+    size = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    return (np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8),
+            _offsets(size)[:-1], size)
+
+
+def _decimals(n: int):
+    """The bytes, starts and sizes of the decimal numbers 0..n-1, for
+    _extended, without a Python string per number."""
+    width = len(str(n - 1))
+    rest = np.arange(n, dtype=np.int64)
+    size = np.ones(n, dtype=np.int64)
+    for p in 10 ** np.arange(1, width):
+        size += rest >= p
+    digits = np.empty((n, width), dtype=np.uint8)  # right-aligned, leading zeros
+    for j in range(width - 1, -1, -1):
+        digits[:, j] = rest % 10 + ord("0")
+        rest //= 10
+    return digits[np.arange(width) >= width - size[:, None]], _offsets(size)[:-1], size
+
+
+_LITERAL_TABLE = _texts(_LITERALS)
+
+
+def _label_table(g: GameGraph):
+    """The label table of g, built once and cached on the graph: its
+    labels, or decimal ids for a graph without names.  A label that is
+    no _LABEL, or that two vertices share, raises ValueError: the
+    readers would not resolve it back to its vertex."""
+    if g._label_table is None:
+        names = g.names
+        if names is None:
+            entries = _decimals(g.vertex_count)
+        else:
+            joined = " ".join(names) + " "
+            if (not _LABEL_LIST.fullmatch(joined) or joined.count(" ") > len(names)
+                    or len(set(names)) < len(names)):
+                seen = set()  # the first label at fault, in vertex order
+                for label in names:
+                    if not _LABEL.fullmatch(label) or label in seen:
+                        raise ValueError("vertex name %r not serializable" % label)
+                    seen.add(label)
+            data = np.frombuffer(joined.encode("ascii"), dtype=np.uint8)
+            end = np.flatnonzero(data == ord(" "))
+            start = np.append(0, end[:-1] + 1)
+            entries = data, start, end - start
+        data, start, size = _extended(_LITERAL_TABLE, *entries)
+        dtype = np.int32 if len(data) < 2**31 else np.int64
+        g._label_table = data, start.astype(dtype), size.astype(dtype)
+    return g._label_table
+
+
+def _render(table, *blocks) -> str:
+    """The text of blocks (rows, columns) of table entries, row after
+    row: a column is an array with one entry per row, or one entry for
+    every row.  The bytes are gathered from the table _CHUNK entries at
+    a time, by an int32 index unless a chunk's bytes need int64."""
+    data, start, size = table
+    out = bytearray(sum(int(size[c].sum()) if np.ndim(c) else rows * int(size[c])
+                        for rows, columns in blocks for c in columns))
+    buf = np.frombuffer(out, dtype=np.uint8)
+    pos = 0
+    for rows, columns in blocks:
+        step = max(1, _CHUNK // len(columns))
+        for a in range(0, rows, step):
+            entries = np.empty((min(step, rows - a), len(columns)), dtype=start.dtype)
+            for j, c in enumerate(columns):
+                entries[:, j] = c[a:a + step] if np.ndim(c) else c
+            entries = entries.ravel()
+            sizes = size[entries]
+            ends = np.cumsum(sizes, dtype=np.int64)
+            n = int(ends[-1])
+            dtype = np.int32 if max(len(data), n) < 2**31 else np.int64
+            index = np.repeat((start[entries] - ends + sizes).astype(dtype), sizes)
+            index += np.arange(n, dtype=dtype)
+            np.take(data, index, out=buf[pos:pos + n], mode="clip")
+            pos += n
+    return out.decode("ascii")
+
+
+def vertex_text(g: GameGraph, ids) -> str:
+    """The labels of the vertices of ids, in that order, separated by
+    blanks."""
+    ids = np.asarray(ids, dtype=np.int64)
+    sep = np.full(len(ids), _BLANK, dtype=np.int8)
+    sep[:1] = _EMPTY
+    return _render(_label_table(g), (len(ids), [sep, ids]))
 
 
 def _pass_token(g: GameGraph) -> str:
@@ -402,25 +508,41 @@ def emit_game(g: GameGraph, objectives) -> str:
     for pf in objectives:
         if len(pf) != g.vertex_count:
             raise ValueError("priority function does not cover the vertex set")
-    n = g.vertex_count
-    if len(objectives) == 1:
-        header = "parity %d;" % (n - 1)
-        prios = list(map(str, objectives[0].values.tolist()))
-    else:
-        header = "genparity %d %d;" % (n - 1, len(objectives))
-        rows = np.stack([pf.values for pf in objectives], axis=1).tolist()
-        prios = [",".join(map(str, row)) for row in rows]
-    dst = list(map(str, g.edge_targets.tolist()))
-    off = g.succ_offsets().tolist()
-    succs = [",".join(dst[off[v]:off[v + 1]]) for v in range(n)]
-    if g.names is None:
-        names = [""] * n
-    else:
-        names = [' "%s"' % label for label in _labels(g)]
-    lines = [header]
-    lines.extend("%d %s %d %s%s;" % row for row in
-                 zip(range(n), prios, g.owners.tolist(), succs, names))
-    return "\n".join(lines) + "\n"
+    n, k = g.vertex_count, len(objectives)
+    values, prio = np.unique(np.stack([pf.values for pf in objectives], axis=1),
+                             return_inverse=True)
+    header = "parity %d;\n" % (n - 1) if k == 1 else "genparity %d %d;\n" % (n - 1, k)
+    # entries n.. of the table: the header, the owners between blanks,
+    # the ends of a record without and with a name, the priorities, and
+    # for a graph with names the decimal ids
+    texts = [header, " 0 ", " 1 ", ";\n", ' "', '";\n', *map(str, values.tolist())]
+    owner, plain_end, quote, quoted_end, first_prio = n + 1, n + 3, n + 4, n + 5, n + 6
+    table = _extended(_label_table(g), *_texts(texts))
+    ids = np.arange(n, dtype=np.int64)
+    if g.names is not None:
+        ids += n + len(texts)
+        table = _extended(table, *_decimals(n))
+    # a record: id, blank, priorities between commas, owner, then a
+    # comma (none before the first) and an id per successor, then its end
+    head = np.full((n, 2 * k + 2), _COMMA, dtype=np.int64)
+    head[:, 0] = ids
+    head[:, 1] = _BLANK
+    head[:, 2::2] = prio.reshape(n, k) + first_prio
+    head[:, -1] = g.owners + np.int64(owner)
+    tail = (np.full((n, 1), plain_end, dtype=np.int64) if g.names is None else
+            np.stack([np.full(n, quote), np.arange(n), np.full(n, quoted_end)], axis=1))
+    off = g.succ_offsets()
+    deg = np.diff(off)
+    first = _offsets(head.shape[1] + 2 * deg + tail.shape[1])
+    succ = first[:-1] + head.shape[1]  # where each record's successors begin
+    entries = np.empty(int(first[-1]), dtype=np.int64)
+    entries[first[:-1, None] + np.arange(head.shape[1])] = head
+    at = np.repeat(succ - 2 * off[:-1], deg) + 2 * np.arange(g.edge_count)
+    entries[at] = _COMMA
+    entries[succ[deg > 0]] = _EMPTY
+    entries[at + 1] = ids[g.edge_targets]
+    entries[(succ + 2 * deg)[:, None] + np.arange(tail.shape[1])] = tail
+    return _render(table, (1, [n]), (len(entries), [entries]))
 
 
 # -- vertex and edge tokens ------------------------------------------------
@@ -509,12 +631,6 @@ def _walk_edge_list(g: GameGraph, s: _Scanner) -> np.ndarray:
     return eids
 
 
-def _edge_tokens(g: GameGraph, ids: np.ndarray, names: list[str]) -> list[str]:
-    src = g.edge_sources()[ids].tolist()
-    dst = g.edge_targets[ids].tolist()
-    return ["(" + names[u] + "," + names[v] + ")" for u, v in zip(src, dst)]
-
-
 def _sorted_edges(g: GameGraph, ids: np.ndarray, group=None) -> np.ndarray:
     """Edge ids ordered by source and target, within each group when
     ascending group numbers are given."""
@@ -531,27 +647,27 @@ _EDGE_SECTIONS = ("unsafe", "colive", "live-group")
 _EDGE_TOKENS = str.maketrans(" ", ",", "()")
 
 
+def _edge_rows(g: GameGraph, ids: np.ndarray, sep):
+    """A block of rows "<sep>(u,v)", one per edge id."""
+    return len(ids), [sep, _OPEN, g.edge_sources()[ids], _COMMA, g.edge_targets[ids], _CLOSE]
+
+
 def template_text(t: StrategyTemplate) -> str:
     """Render a template: region vertices, unsafe and co-live edge lists,
     one live-group line per group."""
     g = t.graph
-    names = _labels(g)
-
-    def edge_list(mask) -> str:
-        ids = _sorted_edges(g, np.flatnonzero(mask))
-        return " ".join(_edge_tokens(g, ids, names))
-
-    lines = ["region:" + "".join(" " + names[v]
-                                 for v in np.flatnonzero(t.region_mask).tolist())]
-    lines.append(("unsafe: " + edge_list(t.unsafe_mask)).rstrip())
-    lines.append(("colive: " + edge_list(t.colive_mask)).rstrip())
-    tokens = _edge_tokens(g, _sorted_edges(g, t.group_ids, t.group_of_ids()), names)
+    table = _label_table(g)
+    region = np.flatnonzero(t.region_mask)
+    groups = _sorted_edges(g, t.group_ids, t.group_of_ids())
     # a group's first edge opens its line
-    opens = np.zeros(len(tokens), dtype=np.bool_)
-    opens[t.group_off[:-1]] = True
-    groups = "".join(("\nlive-group: " if first else " ") + tok
-                     for first, tok in zip(opens.tolist(), tokens))
-    return "\n".join(lines) + groups + "\n"
+    sep = np.full(len(groups), _BLANK, dtype=np.int8)
+    sep[t.group_off[:-1]] = _GROUP
+    return _render(table, (1, [_REGION]), (len(region), [_BLANK, region]),
+                   (1, [_UNSAFE]),
+                   _edge_rows(g, _sorted_edges(g, np.flatnonzero(t.unsafe_mask)), _BLANK),
+                   (1, [_COLIVE]),
+                   _edge_rows(g, _sorted_edges(g, np.flatnonzero(t.colive_mask)), _BLANK),
+                   _edge_rows(g, groups, sep), (1, [_NEWLINE]))
 
 
 def _walk_template_line(g: GameGraph, raw: str, lineno: int,
@@ -664,11 +780,19 @@ _STRATEGY_TOKENS = str.maketrans(" \n", ",,", ":()")
 def strategy_text(s: Strategy) -> str:
     """One line per vertex with moves, edges in rotation order."""
     g = s.graph
-    names = _labels(g)
-    tokens = _edge_tokens(g, s._order, names)
-    off = s._off.tolist()
-    return "\n".join("%s: %s" % (names[v], " ".join(tokens[off[v]:off[v + 1]]))
-                     for v in s.domain_vertices().tolist()) + "\n"
+    table = _label_table(g)
+    domain = s.domain_vertices()
+    # a line: its vertex and ": " before the first move, " " before each
+    # other, a newline after the last
+    head = np.full(len(s._order), _EMPTY, dtype=np.int64)
+    head[s._off[domain]] = domain
+    sep = np.full(len(s._order), _BLANK, dtype=np.int8)
+    sep[s._off[domain]] = _HEAD_END
+    end = np.full(len(s._order), _EMPTY, dtype=np.int8)
+    end[s._off[domain + 1] - 1] = _NEWLINE
+    rows, columns = _edge_rows(g, s._order, sep)
+    # a strategy without moves is one empty line
+    return _render(table, (rows, [head, *columns, end]), (int(not rows), [_NEWLINE]))
 
 
 def _walk_strategy_line(g: GameGraph, raw: str, lineno: int,

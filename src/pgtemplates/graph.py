@@ -62,6 +62,7 @@ class GameGraph:
     __slots__ = (
         "_owner", "_succ_off", "_succ_dst", "_names",
         "_pred_off", "_pred_src", "_edge_src", "_edge_keys", "_name_index",
+        "_label_table",
     )
 
     def __init__(self, owner: np.ndarray, succ_off: np.ndarray,
@@ -78,6 +79,7 @@ class GameGraph:
         self._edge_src = None
         self._edge_keys = None
         self._name_index = None
+        self._label_table = None  # the writers' labels, built by gameio
 
     # -- construction ----------------------------------------------------
 

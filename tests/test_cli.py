@@ -254,9 +254,51 @@ def test_non_ascii_byte_reports_its_position(capsys, tmp_path, name, text, argv,
 def test_unserializable_name_exit_code(capsys, tmp_path, names, label):
     game = tmp_path / "named.gpg"
     game.write_text("parity 1;\n0 0 0 0,1 %s;\n1 0 0 1 %s;\n" % names)
-    code, _, err = run(capsys, "solve", str(game))
+    target = tmp_path / "out.tpl"
+    for command in (["solve"], ["compose"], ["compose", "--incremental"]):
+        for output in ([], ["-o", str(target)]):
+            code, out, err = run(capsys, *command, str(game), *output)
+            assert code == 2
+            assert err == "error: vertex name %r not serializable\n" % label
+            assert out == ""
+            assert not target.exists()
+
+
+def test_vertex_lines_check_names_too(capsys, tmp_path):
+    game = tmp_path / "named.gpg"
+    game.write_text('parity 1;\n0 0 0 0,1 "a b";\n1 0 0 1 "c";\n')
+    empty = tmp_path / "empty.tpl"
+    empty.write_text("region:\n")
+    stuck = tmp_path / "stuck.tpl"  # vertex 0 keeps no usable edge
+    stuck.write_text("region: 0\nunsafe: (0,0)\n")
+    for argv in (["oracle", str(game)],
+                 ["verify", str(game), "--template", str(empty)],
+                 ["fault", str(game), "--template", str(stuck), "--faulty", "(0,1)", "--gaf"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: vertex name 'a b' not serializable\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", SIX], ["compose", PAIR], ["compose", PAIR, "--incremental"],
+    ["fault", SIX, "--template", "@six.tpl", "--faulty", "(a,c)"],
+    ["extract", SIX, "--template", "@six.tpl"],
+])
+def test_unwritable_output_writes_nothing(capsys, tmp_path, argv):
+    template = tmp_path / "six.tpl"
+    template.write_text(PSI2_TEXT)
+    argv = [str(template) if a == "@six.tpl" else a for a in argv]
+    code, out, err = run(capsys, *argv, "-o", str(tmp_path / "missing" / "x.tpl"))
     assert code == 2
-    assert err == "error: vertex name %r not serializable\n" % label
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_solve_prints_an_empty_region(capsys, tmp_path):
+    game = tmp_path / "lost.gpg"
+    game.write_text("parity 0;\n0 1 0 0;\n")
+    code, out, _ = run(capsys, "solve", str(game))
+    assert code == 0
+    assert out == "W0: (empty)\nregion:\nunsafe:\ncolive:\n"
 
 
 def test_missing_file_exit_code(capsys, tmp_path):

@@ -23,6 +23,10 @@ that leaves a helper or pattern behind fails here.
 No production function compiles a constant pattern: the line walkers
 take one per token of every line they read, so constant patterns are
 compiled once, at module level.
+
+The command line front end reads no vertex label: every vertex list it
+prints comes from gameio's renderer, so one module decides how labels
+become text and checks that they read back.
 """
 import ast
 import sys
@@ -234,3 +238,21 @@ def test_pattern_reader_sees_constant_patterns():
               "class C:\n    def take(self, pattern):\n        p = _P\n"
               "        re.compile(p)\n        return re.compile(pattern).match(self.s)\n")
     assert sorted(set(_constant_patterns(source))) == [5, 10]
+
+
+LABEL_READS = {"names", "name_of"}
+
+
+def _label_reads(source):
+    """Line numbers of the attributes of source that read vertex labels."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in LABEL_READS]
+
+
+def test_cli_reads_no_vertex_label():
+    assert _label_reads((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_label_reader_sees_label_reads():
+    source = "def f(g, v):\n    x = g.names\n    return g.name_of(v), x\n"
+    assert _label_reads(source) == [2, 3]
