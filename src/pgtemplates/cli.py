@@ -97,7 +97,7 @@ def _emit(lines: str, text: str, output: str | None) -> None:
     text to standard output.  Callers render all of it first, and the
     file goes first, so a command that fails writes nothing to standard
     output."""
-    if output:
+    if output is not None:
         _write(output, text)
     sys.stdout.write(lines)
     sys.stdout.write(text)
@@ -148,13 +148,13 @@ def _cmd_extract(args) -> int:
 
 def _cmd_verify(args) -> int:
     g, objectives = _load_game(args.file)
-    if args.template:
+    if args.template is not None:
         t = parse_template(_read(args.template), g)
         s = extract_strategy(g, t)
     else:
         s = parse_strategy(_read(args.strategy), g)
     start = None
-    if args.start:
+    if args.start is not None:
         start = _vertex_args(g, args.start)
     verdict = verify_strategy(g, s, objectives, start=start)
     if verdict.is_winning:
@@ -195,7 +195,7 @@ def _cmd_gen(args) -> int:
                              vertex_count=args.vertices, edge_count=args.edges)
     g, objectives = generate(config)
     text = emit_game(g, objectives)
-    if args.output:
+    if args.output is not None:
         _write(args.output, text)
     else:
         sys.stdout.write(text)

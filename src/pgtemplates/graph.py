@@ -56,6 +56,26 @@ def _vertex_mask(n: int, vertices) -> np.ndarray:
     return mask
 
 
+def _csr_order(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and order of the CSR that groups the positions of keys by
+    their key, a vertex id below n.
+
+    Returns (off, order): the positions with key k are order[off[k]:
+    off[k + 1]], in ascending order, as a stable argsort of keys gives
+    them.  Sorts the distinct values key*len(keys) + position in place
+    of the argsort, so an unstable sort yields the stable order; needs
+    n * len(keys) < 2**63.
+    """
+    m = keys.size
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=off[1:])
+    order = np.multiply(keys, m, dtype=np.int64)
+    order += np.arange(m, dtype=np.int64)
+    order.sort()
+    np.remainder(order, m, out=order)
+    return off, order
+
+
 class GameGraph:
     """Immutable two-player game graph over dense vertex ids."""
 
@@ -221,13 +241,8 @@ class GameGraph:
         One entry per edge; built once and cached.
         """
         if self._pred_off is None:
-            n = self.vertex_count
-            counts = np.bincount(self._succ_dst, minlength=n)
-            off = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=off[1:])
-            order = np.argsort(self._succ_dst, kind="stable")
+            off, order = _csr_order(self._succ_dst, self.vertex_count)
             src = self.edge_sources()[order]
-            src = np.ascontiguousarray(src)
             off.setflags(write=False)
             src.setflags(write=False)
             self._pred_off = off

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Edge, GameGraph, PLAYER0, PriorityFunction
+from .graph import Edge, GameGraph, PLAYER0, PriorityFunction, _csr_order
 from .template import ConflictError, StrategyTemplate, find_conflicts
 
 
@@ -356,9 +356,7 @@ class _AllowedGraph:
         """Membership list of the vertices with an allowed path to
         targets (targets included), over a predecessor CSR."""
         n = len(self.player0)
-        by_target = np.argsort(self._targets, kind="stable")
-        pred_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._targets, minlength=n), out=pred_off[1:])
+        pred_off, by_target = _csr_order(self._targets, n)
         pred_off = pred_off.tolist()
         pred_src = self._src[by_target].tolist()
         hit = [False] * n

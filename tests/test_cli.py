@@ -293,6 +293,34 @@ def test_unwritable_output_writes_nothing(capsys, tmp_path, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["solve", SIX, "-o", ""], "error: [Errno 2] No such file or directory: ''\n"),
+    (["compose", PAIR, "-o", ""], "error: [Errno 2] No such file or directory: ''\n"),
+    (["compose", PAIR, "--incremental", "-o", ""],
+     "error: [Errno 2] No such file or directory: ''\n"),
+    (["extract", SIX, "--template", "@six.tpl", "-o", ""],
+     "error: [Errno 2] No such file or directory: ''\n"),
+    (["fault", SIX, "--template", "@six.tpl", "--faulty", "(a,c)", "-o", ""],
+     "error: [Errno 2] No such file or directory: ''\n"),
+    (["gen", "--vertices", "8", "--edges", "20", "-o", ""],
+     "error: [Errno 2] No such file or directory: ''\n"),
+    (["verify", SIX, "--template", ""], "error: [Errno 2] No such file or directory: ''\n"),
+    (["verify", SIX, "--template", "@six.tpl", "--from", ""], "error: unknown vertex ''\n"),
+    (["verify", SIX, "--template", "@six.tpl", "--from", " "], "error: unknown vertex ''\n"),
+], ids=["solve", "compose", "compose-incremental", "extract", "fault", "gen",
+        "verify-template", "verify-from", "verify-from-blank"])
+def test_empty_option_value_is_given(capsys, tmp_path, monkeypatch, argv, err):
+    """An empty -o, --template or --from is a value, not an absent
+    option: the command fails like an unwritable or unknown one and
+    writes nothing."""
+    template = tmp_path / "six.tpl"
+    template.write_text(PSI2_TEXT)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(template) if a == "@six.tpl" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", err)
+    assert list(tmp_path.iterdir()) == [template]
+
+
 def test_solve_prints_an_empty_region(capsys, tmp_path):
     game = tmp_path / "lost.gpg"
     game.write_text("parity 0;\n0 1 0 0;\n")
