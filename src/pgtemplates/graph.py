@@ -62,9 +62,9 @@ def _csr_order(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (off, order): the positions with key k are order[off[k]:
     off[k + 1]], in ascending order, as a stable argsort of keys gives
-    them.  Sorts the distinct values key*len(keys) + position in place
-    of the argsort, so an unstable sort yields the stable order; needs
-    n * len(keys) < 2**63.
+    them.  The values key*len(keys) + position are distinct, so numpy's
+    unstable sort of them, done in place, yields that order, and their
+    remainder by len(keys) the positions.  Needs n * len(keys) < 2**63.
     """
     m = keys.size
     off = np.zeros(n + 1, dtype=np.int64)
