@@ -23,8 +23,8 @@ import numpy as np
 from .graph import GameGraph, PLAYER0, PLAYER1, PriorityFunction
 from .template import StrategyTemplate
 from . import transformers
-from .transformers import (_attractor, _range_ids, _restricted_degrees,
-                           attr_mask)
+from .transformers import (_attractor, _attractor_run, _range_ids,
+                           _restricted_degrees, attr_mask)
 
 
 class SolveResult:
@@ -135,7 +135,10 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
     group, so it costs O(n + m) however many layers there are.  Like the
     kernel's rounds, a layer with fewer than _SCALAR_LIMIT touched
     entries is taken by a scalar step (a Python set, sorted) and larger
-    ones with numpy; both give the same group.
+    ones with numpy; both give the same group.  The scalar step reads
+    the set, the owners and the successor lists, and marks the layer's
+    vertices, through memoryviews made once per call, as the kernel's
+    scalar rounds do.
 
     Requires that player 0 can attract the whole (restricted) graph to
     the goal; raises ValueError when the iteration stalls short of that.
@@ -147,33 +150,37 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
     dst = g.edge_targets
     owners = g.owners
     touched: list = []
+    grow = _attractor_run(g, a, counter, universe, touched)
+    av, ownv, offv, dstv = transformers._views(a, owners, off, dst)
     frontier = np.flatnonzero(a)
     outside = int(universe.sum()) - frontier.size
     groups: list[np.ndarray] = []
     while True:
-        outside -= _attractor(g, a, counter, frontier, universe, touched)
+        outside -= grow(frontier)
         if outside == 0:
             return groups
         # a touched player-1 vertex joins only once all of its edges
         # lead into the set, and the kernel adds it itself then
         if sum(map(len, touched)) < transformers._SCALAR_LIMIT:
             b = [v for v in sorted(set().union(*touched))
-                 if not a[v] and owners[v] == PLAYER0]
-            ids = np.array([e for v in b for e in range(off[v], off[v + 1])
-                            if a[dst[e]]], dtype=np.int64)
+                 if not av[v] and ownv[v] == PLAYER0]
+            ids = np.array([e for v in b for e in range(offv[v], offv[v + 1])
+                            if av[dstv[e]]], dtype=np.int64)
+            for v in b:
+                av[v] = True
         else:
             b = (np.unique(np.concatenate(touched)) if touched
                  else np.empty(0, np.int64))
             b = b[~a[b] & (owners[b] == PLAYER0)]
             ids = _range_ids(off, b)
             ids = ids[a[dst[ids]]]
+            a[b] = True
         touched.clear()
         if len(b) == 0:
             raise ValueError(
                 "reach_template: goal is not player-0 attractable from the "
                 "whole graph; restrict to the attractor first")
         groups.append(ids)
-        a[b] = True
         outside -= len(b)
         frontier = b
 

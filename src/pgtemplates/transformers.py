@@ -28,8 +28,10 @@ upre(set).
 The kernel grows a set mask in place from a frontier of vertices just
 added to it, and leaves the counters where they stopped.  A caller may
 therefore add vertices to the set itself and resume the kernel from
-them with the same counters; the result is the closure of everything
-added so far, at O(n + m) over all resumptions together.  When given a
+them with the same counters: ``_attractor_run`` starts a run and
+returns the function that grows and resumes it, and ``_attractor`` is
+a run grown once.  The result is the closure of everything added so
+far, at O(n + m) over all resumptions together.  When given a
 ``touched`` list, the kernel appends to it, at most once per round, the
 vertices whose counter fell without reaching zero (an int64 array, or a
 non-empty list of ints), so that every vertex it leaves outside the set
@@ -43,9 +45,13 @@ large frontier takes one numpy round: gather the predecessors, count
 them with ``np.unique`` and subtract the counts.  A small one takes a
 scalar round that walks each frontier vertex's predecessor list and
 decrements counters one edge at a time; a vertex joins as soon as its
-counter reaches zero and the round's later edges skip it.  Deep graphs
-run thousands of rounds that each move a vertex or two, where numpy's
-per-call dispatch would cost far more than the work.  Both forms
+counter reaches zero and the round's later edges skip it.  The scalar
+round reads the predecessor lists and the universe, and reads and
+writes the set mask and the counters, through memoryviews of the same
+buffers, made once per kernel run however often it is resumed, so each
+step indexes in Python ints instead of going through numpy scalars.  Deep
+graphs run thousands of rounds that each move a vertex or two, where
+numpy's per-call dispatch would cost far more than the work.  Both forms
 compute the same closure and leave the same counters on every vertex
 outside the set, which is what a resumption reads; counters of vertices
 inside the set may differ, and nothing reads them.
@@ -60,6 +66,12 @@ from .graph import GameGraph, PLAYER0, PLAYER1
 # Attractor rounds whose frontier, and reach_template layers whose
 # touched list, hold fewer vertices than this run as scalar Python
 # steps: below it numpy's per-call dispatch costs more than the work.
+# Measured on a random graph of n=25 000 and m=100 000 (in-degree 4),
+# one round costs about 0.9 us per frontier vertex in the scalar form
+# and 21-30 us in the numpy form, so the two cross near 28 vertices
+# (near 12 before the scalar form used memoryviews).  Whole passes of
+# the benchmark's deep and compose-incremental workloads ran within
+# 1-3 % of each other with 32 and 64.
 _SCALAR_LIMIT = 32
 
 
@@ -93,12 +105,23 @@ def _restricted_degrees(g: GameGraph, universe: np.ndarray | None) -> np.ndarray
     return np.bincount(src[ok], minlength=g.vertex_count)
 
 
-def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
-               frontier, universe: np.ndarray | None,
-               touched: list | None = None,
-               rounds: list | None = None) -> int:
-    """Counter-based worklist shared by every attractor; returns how
-    many vertices joined.
+def _views(*arrays) -> list:
+    """Memoryviews of the given arrays, None staying None.
+
+    The scalar steps index these instead of the arrays: a view copies
+    nothing, writes through to its array and reads and writes Python
+    ints and bools, without numpy's scalar round trip.
+    """
+    return [None if x is None else memoryview(x) for x in arrays]
+
+
+def _attractor_run(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
+                   universe: np.ndarray | None,
+                   touched: list | None = None,
+                   rounds: list | None = None):
+    """Counter-based worklist shared by every attractor; returns a
+    function that grows the set from a frontier and returns how many
+    vertices joined.
 
     counter[v] is how many of v's (restricted) edges must lead into the
     set before v joins it.  The frontier (an id array or list) holds
@@ -110,55 +133,75 @@ def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
     not all n counters.  The rest of each round's counted predecessors
     go to ``touched`` when given, and each round's non-empty set of
     joined vertices (a list of ints or an int64 array) to ``rounds``.
+    The returned function may be called again, from vertices the
+    caller added to in_a, and resumes with the same counters.
 
     A frontier of fewer than _SCALAR_LIMIT vertices runs as a scalar
     round over the predecessor lists, which skips a vertex for the rest
     of the round once it joins; larger ones run as one numpy round.
-    Both add the same vertices and leave the same counters on the
-    vertices outside the set.
+    The scalar round reads and writes the arrays through memoryviews
+    made once per run (see _views).  Both forms add the same vertices
+    and leave the same counters on the vertices outside the set.
     """
     poff, psrc = g.pred_csr()
-    joined = 0
-    while len(frontier):
-        if len(frontier) < _SCALAR_LIMIT:
-            nxt = []
-            fell = []
-            for v in frontier:
-                for u in psrc[poff[v]:poff[v + 1]].tolist():
-                    if in_a[u] or (universe is not None and not universe[u]):
-                        continue
-                    counter[u] -= 1
-                    if counter[u] <= 0:
-                        in_a[u] = True
-                        nxt.append(u)
-                    else:
-                        fell.append(u)
+    inv, cntv, univ, poffv, psrcv = _views(in_a, counter, universe, poff, psrc)
+
+    def grow(frontier) -> int:
+        joined = 0
+        while len(frontier):
+            if len(frontier) < _SCALAR_LIMIT:
+                if isinstance(frontier, np.ndarray):
+                    frontier = frontier.tolist()
+                nxt = []
+                fell = []
+                for v in frontier:
+                    for u in psrcv[poffv[v]:poffv[v + 1]]:
+                        if inv[u] or (univ is not None and not univ[u]):
+                            continue
+                        c = cntv[u] - 1
+                        cntv[u] = c
+                        if c <= 0:
+                            inv[u] = True
+                            nxt.append(u)
+                        else:
+                            fell.append(u)
+                if touched is not None:
+                    fell = [u for u in fell if not inv[u]]
+                    if fell:
+                        touched.append(fell)
+                if rounds is not None and nxt:
+                    rounds.append(nxt)
+                frontier = nxt
+                joined += len(nxt)
+                continue
+            preds = _gather_ranges(poff, psrc, np.asarray(frontier))
+            if universe is not None:
+                preds = preds[universe[preds]]
+            preds = preds[~in_a[preds]]
+            if preds.size == 0:
+                break
+            cand, cnts = np.unique(preds, return_counts=True)
+            counter[cand] -= cnts
+            hit = counter[cand] <= 0
             if touched is not None:
-                fell = [u for u in fell if not in_a[u]]
-                if fell:
-                    touched.append(fell)
-            if rounds is not None and nxt:
-                rounds.append(nxt)
-            frontier = nxt
-            joined += len(nxt)
-            continue
-        preds = _gather_ranges(poff, psrc, np.asarray(frontier))
-        if universe is not None:
-            preds = preds[universe[preds]]
-        preds = preds[~in_a[preds]]
-        if preds.size == 0:
-            break
-        cand, cnts = np.unique(preds, return_counts=True)
-        counter[cand] -= cnts
-        hit = counter[cand] <= 0
-        if touched is not None:
-            touched.append(cand[~hit])
-        frontier = cand[hit]
-        in_a[frontier] = True
-        joined += frontier.size
-        if rounds is not None and frontier.size:
-            rounds.append(frontier)
-    return joined
+                touched.append(cand[~hit])
+            frontier = cand[hit]
+            in_a[frontier] = True
+            joined += frontier.size
+            if rounds is not None and frontier.size:
+                rounds.append(frontier)
+        return joined
+
+    return grow
+
+
+def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
+               frontier, universe: np.ndarray | None,
+               touched: list | None = None,
+               rounds: list | None = None) -> int:
+    """One run of the kernel (see _attractor_run) from the frontier;
+    returns how many vertices joined."""
+    return _attractor_run(g, in_a, counter, universe, touched, rounds)(frontier)
 
 
 def attr_mask(g: GameGraph, target: np.ndarray, player: int,

@@ -5,6 +5,9 @@ against the implementations they replaced.
 The kernel and reach_template run small rounds and layers as scalar
 steps and large ones with numpy; the kernel checks run every case with
 all steps forced onto each form and with the two mixed (see ``FORMS``).
+The scalar steps read the arrays through memoryviews, so the public
+entry points are also run on strided and read-only masks, int32
+priorities and frontiers given as lists or int64 arrays.
 
 The references below are the earlier code, kept verbatim apart from
 their names: two separate worklist loops for attr and uattr, the
@@ -35,8 +38,9 @@ from pgtemplates.graph import GameGraph, PLAYER0
 from pgtemplates.solvers import (SolveResult, _crossing_edges,
                                  _safety_region, cobuchi_template, cobuchi_win,
                                  parity_parts)
-from pgtemplates.transformers import (_attractor, _gather_ranges,
-                                      _restricted_degrees, attr_mask)
+from pgtemplates.transformers import (_attractor, _attractor_run,
+                                      _gather_ranges, _restricted_degrees,
+                                      attr_mask)
 from conftest import compose_shaped_game, counted_steps, rand_game
 
 
@@ -318,6 +322,49 @@ def test_uattr_mask_matches_reference(case):
         assert np.array_equal(got, want)
 
 
+def odd_layouts(mask):
+    """The mask as a strided view (every other entry of an array twice
+    its length) and as a read-only copy."""
+    wide = np.zeros(2 * len(mask), dtype=np.bool_)
+    wide[::2] = mask
+    frozen = mask.copy()
+    frozen.setflags(write=False)
+    return wide[::2], frozen
+
+
+@settings(deadline=None, max_examples=150)
+@given(game_and_masks(), st.integers(0, 1))
+def test_attr_mask_reads_strided_and_read_only_masks(case, player):
+    g, target, universe = case
+    want = attr_mask_reference(g, target, player, universe)
+    universes = (None, None) if universe is None else odd_layouts(universe)
+    for t, u in zip(odd_layouts(target), universes):
+        kept = copies(t, u)
+        for limit in FORMS:
+            with scalar_limit(limit):
+                got = attr_mask(g, t, player, u)
+            assert_unchanged([t, u], kept)
+            assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=150)
+@given(game_and_masks())
+def test_kernel_takes_a_frontier_as_a_list_or_an_int64_array(case):
+    g, target, universe = case
+    want = uattr_mask_reference(g, target, universe)
+    inside = np.ones(g.vertex_count, dtype=np.bool_) if universe is None else universe
+    start = target & inside
+    for frontier in (np.flatnonzero(start), np.flatnonzero(start).tolist()):
+        kept = list(frontier)
+        for limit in FORMS:
+            got = start.copy()
+            with scalar_limit(limit):
+                _attractor(g, got, _restricted_degrees(g, universe), frontier,
+                           universe)
+            assert np.array_equal(got, want)
+            assert list(frontier) == kept
+
+
 @settings(deadline=None, max_examples=300)
 @given(game_and_masks(), st.integers(0, 1), st.booleans())
 def test_kernel_rounds_are_one_step_layers(case, player, both_wait):
@@ -350,18 +397,22 @@ def test_kernel_rounds_are_one_step_layers(case, player, both_wait):
         assert not layer_of(cur).any()
 
 
-def resumed(g, target, extra, universe, limit):
+def resumed(g, target, extra, universe, limit, one_run):
     """uattr closure of target, then of the extra vertices added to it,
-    by resuming the kernel with the same counters."""
+    by resuming the kernel with the same counters: in one kernel run,
+    as reach_template resumes it, or in a second run."""
     inside = np.ones(g.vertex_count, dtype=np.bool_) if universe is None else universe
     counter = _restricted_degrees(g, universe)
     in_a = target & inside
     touched = []
     with scalar_limit(limit):
-        _attractor(g, in_a, counter, np.flatnonzero(in_a), universe, touched)
+        grow = _attractor_run(g, in_a, counter, universe, touched)
+        grow(np.flatnonzero(in_a))
         more = extra & inside & ~in_a
         in_a |= more
-        _attractor(g, in_a, counter, np.flatnonzero(more), universe, touched)
+        if not one_run:
+            grow = _attractor_run(g, in_a, counter, universe, touched)
+        grow(np.flatnonzero(more))
     return in_a, counter, touched
 
 
@@ -378,8 +429,8 @@ def test_resumed_attractor_counters_agree_across_forms(case, data):
     dst = g.edge_targets
     ok = np.ones(g.edge_count, dtype=np.bool_) if universe is None else (
         universe[src] & universe[dst])
-    results = [resumed(g, target, extra, universe, limit)
-               for limit in FORMS]
+    results = [resumed(g, target, extra, universe, limit, one_run)
+               for limit in FORMS for one_run in (True, False)]
     for in_a, counter, touched in results:
         assert np.array_equal(in_a, want)
         assert np.array_equal(counter[~in_a], results[0][1][~in_a])
@@ -420,6 +471,21 @@ def test_reach_template_matches_reference(case):
             got = outcome(reach_template, g, goal, universe)
         assert_unchanged([goal, universe], kept)
         assert got == want
+
+
+@settings(deadline=None, max_examples=150)
+@given(reach_cases())
+def test_reach_template_reads_strided_and_read_only_masks(case):
+    g, goal, universe = case
+    want = outcome(reach_template_reference, g, goal, universe)
+    universes = (None, None) if universe is None else odd_layouts(universe)
+    for gl, u in zip(odd_layouts(goal), universes):
+        kept = copies(gl, u)
+        for limit in FORMS:
+            with scalar_limit(limit):
+                got = outcome(reach_template, g, gl, u)
+            assert_unchanged([gl, u], kept)
+            assert got == want
 
 
 def test_reach_template_mixes_forms_on_pinned_games():
@@ -503,6 +569,21 @@ def test_parity_parts_matches_reference(seed, data):
     for memo in (None, {}):
         assert_same_parts(parity_parts(g, pf.values, universe, memo), want)
         assert_unchanged([universe], kept)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 10_000), st.data())
+def test_parity_parts_reads_odd_layouts_and_int32_priorities(seed, data):
+    g, pf = rand_game(seed, 40, 6)
+    universe = drawn_mask(data, g.vertex_count)
+    want = parity_parts_reference(g, pf.values, universe)
+    for u in odd_layouts(universe):
+        kept = copies(u)
+        for vals in (pf.values, pf.values.astype(np.int32)):
+            for limit in FORMS:
+                with scalar_limit(limit):
+                    assert_same_parts(parity_parts(g, vals, u), want)
+                assert_unchanged([u], kept)
 
 
 @settings(deadline=None, max_examples=100)

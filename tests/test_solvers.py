@@ -125,8 +125,9 @@ def count_reads(monkeypatch, name, counted):
     """Trace solvers.<name>: while it runs, count the calls of each
     function named in ``counted`` (looked up in transformers and
     solvers), the entries read through indexing the predecessor lists
-    and the edge targets ("scanned"), and the fetches of a whole per-edge
-    array, edge sources or targets ("fetched").  Returns the counts."""
+    and the edge targets or through their memoryviews ("scanned"), and
+    the fetches of a whole per-edge array, edge sources or targets
+    ("fetched").  Returns the counts."""
     reads = dict.fromkeys(counted, 0)
     reads.update(scanned=0, fetched=0)
     inside = []
@@ -139,6 +140,23 @@ def count_reads(monkeypatch, name, counted):
             if inside:
                 reads["scanned"] += np.size(out)
             return out.view(np.ndarray) if isinstance(out, np.ndarray) else out
+
+    class ScannedView:
+        """A memoryview of a Scanned array that counts the entries read
+        through it inside the call, as Scanned does for numpy indexing."""
+
+        def __init__(self, array):
+            self.view = memoryview(array)
+
+        def __getitem__(self, key):
+            out = self.view[key]
+            if inside:
+                reads["scanned"] += len(out) if isinstance(key, slice) else 1
+            return out
+
+    def counting_views(*arrays):
+        return [ScannedView(x) if isinstance(x, Scanned) else view
+                for x, view in zip(arrays, views(*arrays))]
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -153,7 +171,10 @@ def count_reads(monkeypatch, name, counted):
                 monkeypatch.setattr(module, key,
                                     counting(key, getattr(module, key)))
     # the predecessor lists the kernel walks, in either round form, and
-    # the successor targets the layer and co-live steps read
+    # the successor targets the layer and co-live steps read; the scalar
+    # steps read them through the views transformers._views makes
+    views = transformers._views
+    monkeypatch.setattr(transformers, "_views", counting_views)
     pred_csr = GameGraph.pred_csr
     monkeypatch.setattr(GameGraph, "pred_csr", lambda self: (
         pred_csr(self)[0], pred_csr(self)[1].view(Scanned)))
