@@ -68,10 +68,10 @@ from .graph import GameGraph, PLAYER0, PLAYER1
 # steps: below it numpy's per-call dispatch costs more than the work.
 # Measured on a random graph of n=25 000 and m=100 000 (in-degree 4),
 # one round costs about 0.9 us per frontier vertex in the scalar form
-# and 21-30 us in the numpy form, so the two cross near 28 vertices
-# (near 12 before the scalar form used memoryviews).  Whole passes of
-# the benchmark's deep and compose-incremental workloads ran within
-# 1-3 % of each other with 32 and 64.
+# and 24-30 us in the numpy form, so the two cross near 28 vertices.
+# In-process passes of the benchmark's solve and compose commands
+# (minimum of five) moved by at most 2 % between 32 and 64: deep and
+# compose-incremental 1-2 % faster, random-large 0.6 % slower.
 _SCALAR_LIMIT = 32
 
 
