@@ -12,11 +12,16 @@ copying the graph, so reported edges and vertices are always in the
 input graph's ids.  A recursion step reads nothing outside its
 universe, so the parity solver keeps each step's result in a memo
 under its universe mask and answers a step whose universe and
-priorities inside it repeat from there.  A memo lives for one parity_parts call,
-or for one composition fold that passes it to every call; there is no
-module-level cache.
+priorities inside it repeat from there.  The same memo keeps each
+attractor and reach_template run of a step under its kind, player,
+target and universe masks (n/8 bytes of result per attractor entry),
+so objectives whose priorities differ elsewhere still share those
+runs.  A memo lives for one parity_parts call, or for one composition
+fold that passes it to every call; there is no module-level cache.
 """
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -140,11 +145,18 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
     vertices, through memoryviews made once per call, as the kernel's
     scalar rounds do.
 
+    A goal that already covers the universe gives no group, and the
+    call returns before it builds any counter.
+
     Requires that player 0 can attract the whole (restricted) graph to
     the goal; raises ValueError when the iteration stalls short of that.
     """
     universe = _full(g) if universe is None else g.mask_of(universe)
     a = g.mask_of(goal) & universe
+    frontier = np.flatnonzero(a)
+    outside = int(universe.sum()) - frontier.size
+    if outside == 0:
+        return []
     counter = _restricted_degrees(g, universe)
     off = g.succ_offsets()
     dst = g.edge_targets
@@ -152,8 +164,6 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
     touched: list = []
     grow = _attractor_run(g, a, counter, universe, touched)
     av, ownv, offv, dstv = transformers._views(a, owners, off, dst)
-    frontier = np.flatnonzero(a)
-    outside = int(universe.sum()) - frontier.size
     groups: list[np.ndarray] = []
     while True:
         outside -= grow(frontier)
@@ -278,8 +288,11 @@ def cobuchi_template(g: GameGraph, goal) -> SolveResult:
         _attractor(g, peel, counter, np.flatnonzero(core), remaining,
                    rounds=rounds)
         rank[core] = 0
-        for i, layer in enumerate(rounds, 1):
-            rank[layer] = i
+        # every layer's rank in one write: the i-th round's vertices get i
+        sizes = [len(layer) for layer in rounds]
+        rank[np.fromiter(chain.from_iterable(rounds), np.int64,
+                         count=sum(sizes))] = np.repeat(
+            np.arange(1, len(rounds) + 1), sizes)
         ids = _range_ids(off, np.flatnonzero(peel & mine))
         to = dst[ids]
         rv = rank[src[ids]]
@@ -291,13 +304,44 @@ def cobuchi_template(g: GameGraph, goal) -> SolveResult:
     return SolveResult(w0, w1, tpl)
 
 
-def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
+def _remembered(memo: dict, kind: str, g: GameGraph, target: np.ndarray,
+                player: int, universe: np.ndarray):
+    """attr_mask(g, target, player, universe) for kind "attr", or
+    reach_template(g, target, universe) for kind "reach" (player 0),
+    each run at most once per memo.
+
+    The entry is keyed on (kind, player, packed target, packed
+    universe) and holds the packed result bits, or the tuple of group
+    arrays, which are never written.  A hit returns a fresh mask or
+    list; a ValueError propagates and stores nothing.  The kernels are
+    looked up as module globals at call time, so a wrapper put there
+    sees every real run.
+    """
+    key = (kind, player, np.packbits(target).tobytes(),
+           np.packbits(universe).tobytes())
+    held = memo.get(key)
+    if kind == "attr":
+        if held is None:
+            found = attr_mask(g, target, player, universe)
+            memo[key] = np.packbits(found)
+            return found
+        return np.unpackbits(held, count=len(universe)).view(np.bool_)
+    if held is None:
+        groups = reach_template(g, target, universe=universe)
+        memo[key] = tuple(groups)
+        return groups
+    return list(held)
+
+
+def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
+                  memo: dict):
     """One recursion step of the parity solver, written as a generator.
 
     Yields the universe of a needed sub-solve and receives its result;
     returns (w0, w1, live-group id arrays, colive id arrays) for the
     given universe.  Run via _trampoline so recursion depth stays flat
-    and repeated sub-solves come from its memo.
+    and repeated sub-solves come from its memo; the step's attractor
+    and reach_template runs go through the same memo (_remembered).
     """
     nothing = np.zeros(len(universe), dtype=np.bool_)
     if not universe.any():
@@ -306,32 +350,33 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
     p_d = universe & (vals == d)
 
     if d % 2 == 1:
-        a = attr_mask(g, p_d, PLAYER1, universe)
+        a = _remembered(memo, "attr", g, p_d, PLAYER1, universe)
         rest = universe & ~a
         if not rest.any():
             return nothing, universe.copy(), [], []
         w0, w1, groups, colive = yield rest
         if not w0.any():
             return nothing, universe.copy(), [], []
-        b = attr_mask(g, w0, PLAYER0, universe)
+        b = _remembered(memo, "attr", g, w0, PLAYER0, universe)
         colive.append(_crossing_edges(g, w0, universe & ~w0))
-        reach = reach_template(g, w0, universe=b)
+        reach = _remembered(memo, "reach", g, w0, PLAYER0, b)
         colive.append(_reach_exits(g, w0, b, reach, universe))
         groups.extend(reach)
         w0p, w1p, groups2, colive2 = yield (universe & ~b)
         return w0p | b, w1p, groups + groups2, colive + colive2
 
-    a = attr_mask(g, p_d, PLAYER0, universe)
+    a = _remembered(memo, "attr", g, p_d, PLAYER0, universe)
     rest = universe & ~a
     if not rest.any():
-        return universe.copy(), nothing, reach_template(g, p_d, universe=universe), []
+        return (universe.copy(), nothing,
+                _remembered(memo, "reach", g, p_d, PLAYER0, universe), [])
     w0, w1, groups, colive = yield rest
     if not w1.any():
-        reach = reach_template(g, p_d, universe=a)
+        reach = _remembered(memo, "reach", g, p_d, PLAYER0, a)
         colive.append(_reach_exits(g, p_d, a, reach, universe))
         groups.extend(reach)
         return universe.copy(), nothing, groups, colive
-    b = attr_mask(g, w1, PLAYER1, universe)
+    b = _remembered(memo, "attr", g, w1, PLAYER1, universe)
     # templates from the first sub-solve cover vertices that player 1
     # can now drag into b; drop them and re-solve the remainder
     w0p, w1p, groups2, colive2 = yield (universe & ~b)
@@ -358,16 +403,25 @@ def _trampoline(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
     """Run _parity_solve steps on an explicit stack, looking every
     requested universe up in ``memo`` first.
 
-    A step reads nothing outside its universe, so its result depends
-    only on the graph, the universe and the priorities inside it.  The
-    memo maps the packed bits of a universe to the steps finished on
-    it, each stored as (priority array, packed w0 bits, live-group
-    tuple, co-live tuple): w1 is the rest of the universe, and the id
-    arrays are shared with the step's result.  A lookup compares the
+    The memo holds two kinds of entries.  Step entries: a step reads
+    nothing outside its universe, so its result depends only on the
+    graph, the universe and the priorities inside it.  The memo maps
+    the packed bits (bytes) of a universe to the steps finished on it,
+    each stored as (priority array, packed w0 bits, live-group tuple,
+    co-live tuple): w1 is the rest of the universe, and the id arrays
+    are shared with the step's result.  A lookup compares the
     priorities inside the universe, so equal values of any integer
     dtype match.  A miss pushes a new step; a hit skips the whole
     subtree and returns a fresh w0 mask, w1 mask and lists, since
     callers extend the lists; the id arrays inside are never written.
+
+    Kernel entries: every step is handed the memo and runs its
+    attractors and reach_template layerings through _remembered, keyed
+    on a tuple of (kind, player, packed target, packed universe).  These
+    depend on no priority, so objectives that differ elsewhere in the
+    universe share them.  An attractor entry holds n/8 bytes of result
+    beside the two n/8-byte masks of its key.  Both kinds live as long
+    as the memo: one parity_parts call or one composition fold.
     """
     stack = []
     pending, result = universe, None
@@ -376,7 +430,7 @@ def _trampoline(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
             key = np.packbits(pending).tobytes()
             entry = _recall(memo.get(key, ()), vals, pending)
             if entry is None:
-                stack.append((_parity_solve(g, vals, pending), key))
+                stack.append((_parity_solve(g, vals, pending, memo), key))
                 result = None
             else:
                 w0 = np.unpackbits(entry[1], count=len(pending)).view(np.bool_)
@@ -405,9 +459,11 @@ def parity_parts(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
 
     Every recursion step's result is kept in ``memo`` under its universe,
     with a reference to its priority array, and a step whose universe
-    and priorities inside it repeat is answered from there (see
-    _trampoline).  Without a memo the call uses a fresh dict, dropped on
-    return.  A caller may share one dict between calls on the same
+    and priorities inside it repeat is answered from there; every
+    attractor and reach_template run of a step is kept there too, under
+    its input masks, and answered from there whatever the priorities
+    (see _trampoline; an attractor entry costs about 3n/8 bytes).
+    Without a memo the call uses a fresh dict, dropped on return.  A caller may share one dict between calls on the same
     graph, as composition does over one fold; the entries are only
     valid for that graph.  The memo holds the priority arrays it saw: a
     writable vals is copied first, so that no later write to it changes

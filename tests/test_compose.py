@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import compose
+from pgtemplates import compose, solvers
 from pgtemplates import (ComposeState, PriorityFunction, add_objective,
                          brute_force_gen_parity_region, compose_templates,
                          extract_strategy, find_conflicts, pad_to_odd,
@@ -279,6 +279,39 @@ def test_compose_work_is_bounded_by_the_fold_memo(monkeypatch):
     steps[0] = 0
     _, want = compose_templates(g, ComposeState.initial(g), objectives)
     assert steps[0] > 43
+    assert want == template
+    assert np.array_equal(want.group_off, template.group_off)
+    assert np.array_equal(want.group_ids, template.group_ids)
+
+
+def test_fold_memo_runs_each_kernel_once(monkeypatch):
+    # counted kernel runs of one compose call, with the fold memo and
+    # with a step memo alone (every kernel run forgotten at once): the
+    # memo skips the attractors and reach_template runs that objectives
+    # repeat on one subgame, and the template stays the same
+    g, objectives = compose_shaped_game(2, 16)
+    runs = {"attr": 0, "reach": 0}
+    attr, reach = solvers.attr_mask, solvers.reach_template
+
+    def counted_attr(*args, **kwargs):
+        runs["attr"] += 1
+        return attr(*args, **kwargs)
+
+    def counted_reach(*args, **kwargs):
+        runs["reach"] += 1
+        return reach(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "attr_mask", counted_attr)
+    monkeypatch.setattr(solvers, "reach_template", counted_reach)
+    _, template = compose_templates(g, ComposeState.initial(g), objectives)
+    assert runs == {"attr": 61, "reach": 21}
+
+    remembered = solvers._remembered
+    monkeypatch.setattr(solvers, "_remembered",
+                        lambda memo, *args: remembered({}, *args))
+    runs.update(attr=0, reach=0)
+    _, want = compose_templates(g, ComposeState.initial(g), objectives)
+    assert runs == {"attr": 64, "reach": 29}
     assert want == template
     assert np.array_equal(want.group_off, template.group_off)
     assert np.array_equal(want.group_ids, template.group_ids)

@@ -212,7 +212,7 @@ def _trampoline_reference(step, root_universe: np.ndarray):
 
 
 def parity_parts_reference(g: GameGraph, vals: np.ndarray, universe: np.ndarray):
-    return _trampoline_reference(lambda u: solvers._parity_solve(g, vals, u),
+    return _trampoline_reference(lambda u: solvers._parity_solve(g, vals, u, {}),
                                  universe)
 
 
@@ -501,6 +501,22 @@ def test_reach_template_mixes_forms_on_pinned_games():
             assert outcome(reach_template, g, goal, universe) == want
 
 
+@settings(deadline=None, max_examples=100)
+@given(game_and_masks())
+def test_reach_template_returns_early_when_the_goal_covers_the_universe(case):
+    # no counters are built: the goal is already the closure
+    g, extra, universe = case
+    goal = extra | (np.ones(g.vertex_count, dtype=np.bool_) if universe is None
+                    else universe)
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_restricted_degrees",
+                   lambda *args: built.append(args) or _restricted_degrees(*args))
+        got = outcome(reach_template, g, goal, universe)
+    assert built == []
+    assert got == outcome(reach_template_reference, g, goal, universe) == []
+
+
 def assert_same_cobuchi(g, goal):
     want = cobuchi_template_reference(g, goal)
     kept = copies(goal)
@@ -598,18 +614,21 @@ def test_parity_parts_with_a_shared_memo_matches_reference(seed, k, data):
         PriorityFunction(np.where(drawn_mask(data, n), pf.values,
                                   objectives[0].values))
         for pf in objectives[1:]]
-    objectives = [pad_to_odd(pf) for pf in mixed]
-    universe = drawn_mask(data, n)
-    memo = {}
-    for _ in range(2):
-        won = universe.copy()
-        for pf in objectives:
-            got = parity_parts(g, pf.values, universe, memo)
-            assert_same_parts(got, parity_parts_reference(g, pf.values, universe))
-            won &= got[0]
-        bumped = drawn_mask(data, n)
-        objectives = [relabel(pf, bumped) for pf in objectives]
-        universe = won
+    first = [pad_to_odd(pf) for pf in mixed]
+    start = drawn_mask(data, n)
+    bumps = [drawn_mask(data, n) for _ in range(2)]
+    for limit in FORMS:
+        objectives, universe, memo = first, start, {}
+        with scalar_limit(limit):
+            for bumped in bumps:
+                won = universe.copy()
+                for pf in objectives:
+                    got = parity_parts(g, pf.values, universe, memo)
+                    assert_same_parts(
+                        got, parity_parts_reference(g, pf.values, universe))
+                    won &= got[0]
+                objectives = [relabel(pf, bumped) for pf in objectives]
+                universe = won
 
 
 def test_shared_memo_hits_on_a_compose_shaped_game(monkeypatch):
@@ -635,9 +654,12 @@ def test_shared_memo_hits_on_a_compose_shaped_game(monkeypatch):
         return got
 
     monkeypatch.setattr(compose, "parity_parts", checked)
-    compose_templates(g, ComposeState.initial(g), objectives)
-    shared, own, reference = map(sum, zip(*taken))
-    assert (shared, own, reference) == (43, 52, 78)
+    for limit in FORMS:
+        taken.clear()
+        with scalar_limit(limit):
+            compose_templates(g, ComposeState.initial(g), objectives)
+        shared, own, reference = map(sum, zip(*taken))
+        assert (shared, own, reference) == (43, 52, 78)
 
 
 @settings(deadline=None, max_examples=150)

@@ -401,6 +401,49 @@ def test_memo_key_ignores_the_integer_dtype(monkeypatch):
     assert steps[0] == 0
 
 
+def test_kernel_memo_hits_return_fresh_masks_and_lists(monkeypatch):
+    # writing into what a hit returned leaves the next hit unchanged
+    g, pf = rand_game(17, 20, 5)
+    universe = np.ones(g.vertex_count, dtype=np.bool_)
+    goal = pf.values == pf.max_priority
+    runs = []
+    for name in ("attr_mask", "reach_template"):
+        kernel = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name,
+                            lambda *a, kernel=kernel, name=name, **k:
+                            runs.append(name) or kernel(*a, **k))
+    memo = {}
+    area = solvers._remembered(memo, "attr", g, goal, 0, universe)
+    groups = solvers._remembered(memo, "reach", g, goal, 0, area)
+    want = (area.tolist(), [ids.tolist() for ids in groups])
+    assert not area.all() and groups
+    for _ in range(2):
+        area[:] = True
+        groups.append(np.arange(3))
+        del groups[0]
+        area = solvers._remembered(memo, "attr", g, goal, 0, universe)
+        groups = solvers._remembered(memo, "reach", g, goal, 0, area)
+        assert (area.tolist(), [ids.tolist() for ids in groups]) == want
+    assert runs == ["attr_mask", "reach_template"]
+    # the other player, or another universe, is another run
+    solvers._remembered(memo, "attr", g, goal, 1, universe)
+    universe[0] = False
+    solvers._remembered(memo, "attr", g, goal, 0, universe)
+    assert runs[2:] == ["attr_mask", "attr_mask"]
+
+
+def test_kernel_memo_stores_no_failed_run():
+    # a goal player 0 cannot attract the universe to raises every time
+    g = GameGraph.from_lists([0, 1], [[1], [1]])
+    goal = np.array([True, False])
+    memo = {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not player-0 attractable"):
+            solvers._remembered(memo, "reach", g, goal, 0,
+                                np.ones(2, dtype=np.bool_))
+    assert memo == {}
+
+
 def test_empty_universe_gives_two_separate_regions():
     # writing one region of an empty universe leaves the other alone
     g, pf = rand_game(17, 20, 5)

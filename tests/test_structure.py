@@ -24,6 +24,10 @@ No production function compiles a constant pattern: the line walkers
 take one per token of every line they read, so constant patterns are
 compiled once, at module level.
 
+The parity solver's steps run their attractors and reach-template
+layerings only through the memo helper, so a later direct call cannot
+silently bypass the memo.
+
 The command line front end reads no vertex label: every vertex list it
 prints comes from gameio's renderer, so one module decides how labels
 become text and checks that they read back.
@@ -256,3 +260,37 @@ def test_cli_reads_no_vertex_label():
 def test_label_reader_sees_label_reads():
     source = "def f(g, v):\n    x = g.names\n    return g.name_of(v), x\n"
     assert _label_reads(source) == [2, 3]
+
+
+MEMO_KERNELS = {"attr_mask", "reach_template"}
+
+
+def _kernel_refs(source, function, helper):
+    """Line numbers of the references to a memoized kernel inside the
+    named function, and whether that function calls the helper."""
+    for top in ast.walk(ast.parse(source)):
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            refs = sorted(node.lineno for node in ast.walk(top)
+                          if isinstance(node, (ast.Name, ast.Attribute))
+                          and _called_name(node) in MEMO_KERNELS)
+            calls = any(isinstance(node, ast.Call) and _called_name(node) == helper
+                        for node in ast.walk(top))
+            return refs, calls
+    return None
+
+
+def test_parity_steps_run_kernels_through_the_memo():
+    source = (PACKAGE / "solvers.py").read_text(encoding="utf-8")
+    assert _kernel_refs(source, "_parity_solve", "_remembered") == ([], True)
+
+
+def test_kernel_ref_reader_sees_direct_kernel_use():
+    source = ("def _parity_solve(g, memo):\n"
+              "    a = _remembered(memo, 'attr', g)\n"
+              "    b = attr_mask(g, a, 0)\n"
+              "    run = transformers.attr_mask\n"
+              "    return reach_template(g, run(g, b, 1))\n"
+              "def other(g):\n    return attr_mask(g)\n")
+    assert _kernel_refs(source, "_parity_solve", "_remembered") == ([3, 4, 5], True)
+    assert _kernel_refs(source, "other", "_remembered") == ([7], False)
+    assert _kernel_refs(source, "missing", "_remembered") is None
