@@ -14,7 +14,10 @@ between re-solve rounds; that is checked at runtime (RuntimeError).
 Folding one objective keeps one parity-solver memo (see
 solvers.parity_parts) for all of its solves and rounds, so a subgame on
 which the objectives agree, or which a re-solve round visits again, is
-solved once.  The memo is dropped when the fold returns.
+solved once.  The memo also keeps every attractor and reach-template
+run under its input masks, so objectives whose priorities differ on a
+few trap or gadget vertices still share the runs on the subgames they
+reach alike.  The memo is dropped when the fold returns.
 
 The procedure is sound but deliberately not complete: re-solving after
 a conflict may give up vertices a cleverer coordination could keep.

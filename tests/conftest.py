@@ -170,6 +170,19 @@ def counted_steps(monkeypatch):
     return steps
 
 
+def counted_kernels(monkeypatch):
+    """Counts the real runs of attr_mask and reach_template that the
+    solvers make; returns the counts by name."""
+    runs = dict.fromkeys(("attr_mask", "reach_template"), 0)
+    for name in runs:
+        def counted(*args, kernel=getattr(solvers, name), name=name, **kwargs):
+            runs[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, counted)
+    return runs
+
+
 def sample_compliant_strategy(g, t, rng):
     """A random rotation strategy that still follows the template: per
     vertex a nonempty subset of the allowed edges, keeping at least one

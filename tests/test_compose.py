@@ -8,8 +8,9 @@ from pgtemplates import (ComposeState, PriorityFunction, add_objective,
                          brute_force_gen_parity_region, compose_templates,
                          extract_strategy, find_conflicts, pad_to_odd,
                          parity_template, relabel, verify_strategy)
-from conftest import (buchi_pf, compose_shaped_game, counted_steps, edges,
-                      group_edge_sets, names_of, pf_by_name, rand_game, vset)
+from conftest import (buchi_pf, compose_shaped_game, counted_kernels,
+                      counted_steps, edges, group_edge_sets, names_of,
+                      pf_by_name, rand_game, vset)
 from test_kernel_reference import parity_parts_reference
 
 
@@ -290,28 +291,16 @@ def test_fold_memo_runs_each_kernel_once(monkeypatch):
     # memo skips the attractors and reach_template runs that objectives
     # repeat on one subgame, and the template stays the same
     g, objectives = compose_shaped_game(2, 16)
-    runs = {"attr": 0, "reach": 0}
-    attr, reach = solvers.attr_mask, solvers.reach_template
-
-    def counted_attr(*args, **kwargs):
-        runs["attr"] += 1
-        return attr(*args, **kwargs)
-
-    def counted_reach(*args, **kwargs):
-        runs["reach"] += 1
-        return reach(*args, **kwargs)
-
-    monkeypatch.setattr(solvers, "attr_mask", counted_attr)
-    monkeypatch.setattr(solvers, "reach_template", counted_reach)
+    runs = counted_kernels(monkeypatch)
     _, template = compose_templates(g, ComposeState.initial(g), objectives)
-    assert runs == {"attr": 61, "reach": 21}
+    assert runs == {"attr_mask": 61, "reach_template": 21}
 
     remembered = solvers._remembered
     monkeypatch.setattr(solvers, "_remembered",
                         lambda memo, *args: remembered({}, *args))
-    runs.update(attr=0, reach=0)
+    runs.update(attr_mask=0, reach_template=0)
     _, want = compose_templates(g, ComposeState.initial(g), objectives)
-    assert runs == {"attr": 64, "reach": 29}
+    assert runs == {"attr_mask": 64, "reach_template": 29}
     assert want == template
     assert np.array_equal(want.group_off, template.group_off)
     assert np.array_equal(want.group_ids, template.group_ids)

@@ -15,8 +15,8 @@ from pgtemplates import (GeneratorConfig, buchi_template, buchi_win,
                          verify_strategy, zielonka_regions)
 from pgtemplates import solvers, transformers
 from pgtemplates.graph import GameGraph
-from conftest import (buchi_pf, cobuchi_pf, counted_steps, edges,
-                      group_edge_sets, names_of, rand_game,
+from conftest import (buchi_pf, cobuchi_pf, counted_kernels, counted_steps,
+                      edges, group_edge_sets, names_of, rand_game,
                       sample_compliant_strategy, vset)
 
 
@@ -406,12 +406,7 @@ def test_kernel_memo_hits_return_fresh_masks_and_lists(monkeypatch):
     g, pf = rand_game(17, 20, 5)
     universe = np.ones(g.vertex_count, dtype=np.bool_)
     goal = pf.values == pf.max_priority
-    runs = []
-    for name in ("attr_mask", "reach_template"):
-        kernel = getattr(solvers, name)
-        monkeypatch.setattr(solvers, name,
-                            lambda *a, kernel=kernel, name=name, **k:
-                            runs.append(name) or kernel(*a, **k))
+    runs = counted_kernels(monkeypatch)
     memo = {}
     area = solvers._remembered(memo, "attr", g, goal, 0, universe)
     groups = solvers._remembered(memo, "reach", g, goal, 0, area)
@@ -424,12 +419,12 @@ def test_kernel_memo_hits_return_fresh_masks_and_lists(monkeypatch):
         area = solvers._remembered(memo, "attr", g, goal, 0, universe)
         groups = solvers._remembered(memo, "reach", g, goal, 0, area)
         assert (area.tolist(), [ids.tolist() for ids in groups]) == want
-    assert runs == ["attr_mask", "reach_template"]
+    assert runs == {"attr_mask": 1, "reach_template": 1}
     # the other player, or another universe, is another run
     solvers._remembered(memo, "attr", g, goal, 1, universe)
     universe[0] = False
     solvers._remembered(memo, "attr", g, goal, 0, universe)
-    assert runs[2:] == ["attr_mask", "attr_mask"]
+    assert runs == {"attr_mask": 3, "reach_template": 1}
 
 
 def test_kernel_memo_stores_no_failed_run():
