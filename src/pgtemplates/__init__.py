@@ -12,7 +12,7 @@ from __future__ import annotations
 from .compose import (ComposeState, add_objective, compose_templates,
                       pad_to_odd, relabel)
 from .fault import (CSV_HEADER, FaultStats, OnlineStrategy, OnlineStrategyError,
-                    delete_edges, fault_correction, gaf_tolerant, online_strategy,
+                    delete_edges, fault_correction, gaf_tolerant,
                     simulate_fault_conflicts)
 from .gameio import (ParseError, emit_game, parse_game, parse_strategy,
                      parse_template, strategy_text, template_text)
@@ -22,9 +22,9 @@ from .graph import (Edge, GameGraph, GraphBuilder, GraphBuildError, PLAYER0,
 from .oracle import (OracleRegions, OracleSizeError,
                      brute_force_gen_parity_region,
                      enumerate_winning_positional, zielonka_regions)
-from .solvers import (SolveResult, buchi_template, buchi_win,
-                      cobuchi_template, cobuchi_win, parity_template,
-                      reach_template, safety_template, safety_win)
+from .solvers import (SolveResult, buchi_template, cobuchi_template,
+                      cobuchi_win, parity_template, reach_template,
+                      safety_template, safety_win)
 from .strategy import (Lasso, Strategy, StrategyDomainError, Verdict,
                        extract_strategy, verify_strategy)
 from .template import (ConflictError, ConflictReport, StrategyTemplate,
@@ -39,7 +39,7 @@ __all__ = [
     "upre", "cpre", "attr", "uattr",
     "StrategyTemplate", "ConflictError", "ConflictReport", "find_conflicts",
     "conjoin",
-    "SolveResult", "safety_win", "buchi_win", "cobuchi_win",
+    "SolveResult", "safety_win", "cobuchi_win",
     "safety_template", "buchi_template", "cobuchi_template",
     "reach_template", "parity_template",
     "ComposeState", "compose_templates", "add_objective", "pad_to_odd",
@@ -49,7 +49,7 @@ __all__ = [
     "OracleRegions", "OracleSizeError", "zielonka_regions",
     "brute_force_gen_parity_region", "enumerate_winning_positional",
     "FaultStats", "OnlineStrategy", "OnlineStrategyError",
-    "delete_edges", "fault_correction", "gaf_tolerant", "online_strategy",
+    "delete_edges", "fault_correction", "gaf_tolerant",
     "simulate_fault_conflicts", "CSV_HEADER",
     "ParseError", "parse_game", "emit_game", "template_text",
     "parse_template", "strategy_text", "parse_strategy",

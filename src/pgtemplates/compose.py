@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import GameGraph, PriorityFunction, _vertex_mask
-from .solvers import _crossing_edges, parity_parts
+from .solvers import _solved, parity_parts
 from .template import StrategyTemplate, find_conflicts
 
 # a conjunction of parity objectives, one priority function each
@@ -118,10 +118,8 @@ def compose_templates(
     for pf in new_objectives:
         state = _fold_objective(g, state, pad_to_odd(pf))
 
-    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
-    unsafe[_crossing_edges(g, state.w0_mask, ~state.w0_mask)] = True
-    template = StrategyTemplate.from_groups(g, unsafe, state.colive_mask,
-                                            state.live_groups, state.w0_mask)
+    template = _solved(g, state.w0_mask, state.colive_mask,
+                       state.live_groups).template
     if not find_conflicts(g, template).is_conflict_free:
         raise RuntimeError("composition returned a conflicted template")
     return state, template

@@ -181,10 +181,6 @@ class OnlineStrategy:
         self._cursor[dom] = np.asarray(state, dtype=np.int64)
 
 
-def online_strategy(g: GameGraph, t: StrategyTemplate, faulty=()) -> OnlineStrategy:
-    return OnlineStrategy(g, t, faulty)
-
-
 @dataclass(frozen=True)
 class FaultStats:
     """One Monte-Carlo row: how often random fault sets of a given size

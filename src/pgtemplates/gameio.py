@@ -834,8 +834,7 @@ def _strategy_of(g: GameGraph, vids: np.ndarray, counts: np.ndarray,
     order = eids[_regroup(counts, np.argsort(vids, kind="stable"))]
     region = np.zeros(n, dtype=np.bool_)
     region[vids] = True
-    return Strategy(g, _offsets(per_vertex), order,
-                    np.zeros(len(order), dtype=np.bool_), region)
+    return Strategy(g, _offsets(per_vertex), order, region)
 
 
 def _canonical_strategy(text: str, g: GameGraph) -> Strategy | None:

@@ -140,9 +140,6 @@ class GameGraph:
         """Targets of v's outgoing edges, in insertion order (read-only)."""
         return self._succ_dst[self._succ_off[v]:self._succ_off[v + 1]]
 
-    def degree(self, v: int) -> int:
-        return int(self._succ_off[v + 1] - self._succ_off[v])
-
     def edges(self) -> Iterator[Edge]:
         """All edges as (source, target), grouped by source."""
         for u in self.vertices():
@@ -193,10 +190,6 @@ class GameGraph:
     def succ_offsets(self) -> np.ndarray:
         return self._succ_off
 
-    def edge_range(self, v: int) -> tuple[int, int]:
-        """Half-open range of internal edge ids whose source is v."""
-        return int(self._succ_off[v]), int(self._succ_off[v + 1])
-
     def edge_ids(self, us, vs) -> np.ndarray:
         """Internal ids of the edges (us[i], vs[i]); -1 where there is no
         such edge.
@@ -221,13 +214,6 @@ class GameGraph:
         pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
         hit = (keys[pos] == q) & (us >= 0) & (us < n) & (vs >= 0) & (vs < n)
         return np.where(hit, order[pos], -1)
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Internal id of edge (u, v).  Raises KeyError if absent."""
-        eid = int(self.edge_ids([u], [v])[0])
-        if eid < 0:
-            raise KeyError((u, v))
-        return eid
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.edge_ids([u], [v])[0] >= 0)
@@ -255,10 +241,6 @@ class GameGraph:
         """Boolean membership mask over the vertex range (see
         _vertex_mask)."""
         return _vertex_mask(self.vertex_count, vertices)
-
-    @staticmethod
-    def set_of(mask: np.ndarray) -> set[int]:
-        return set(int(v) for v in np.flatnonzero(mask))
 
     # -- comparison ----------------------------------------------------------
 
@@ -367,9 +349,6 @@ class PriorityFunction:
 
     def of(self, v: int) -> int:
         return int(self._values[v])
-
-    def vertices_with(self, p: int) -> np.ndarray:
-        return np.flatnonzero(self._values == p)
 
     def odd_ceiling(self) -> int:
         """The declared range padded up to an odd bound (2d+1 shape)."""

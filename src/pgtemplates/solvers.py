@@ -5,7 +5,11 @@ Every solver returns both winning regions and a strategy template whose
 compliant player-0 strategies all win from the winning region.  The
 parity solver follows the Zielonka divide-and-conquer scheme, peeling
 the attractor of the highest priority present and recursing on the
-rest; template edges are collected along the way.
+rest; template edges are collected along the way.  A Büchi objective is
+the parity objective with priority 2 on the goal and 1 elsewhere, and
+buchi_template is the parity template of that encoding.  Every template
+forbids the player-0 edges that leave its region; _solved builds that
+unsafe set for each solver here and for composition.
 
 Subgames are handled with universe masks (see transformers), never by
 copying the graph, so reported edges and vertices are always in the
@@ -106,11 +110,6 @@ def _buchi_region(g: GameGraph, goal: np.ndarray, player: int,
 def safety_win(g: GameGraph, safe) -> np.ndarray:
     """Player-0 region for: stay in the safe set forever."""
     return _safety_region(g, g.mask_of(safe), PLAYER0, _full(g))
-
-
-def buchi_win(g: GameGraph, goal) -> np.ndarray:
-    """Player-0 region for: visit the goal set infinitely often."""
-    return _buchi_region(g, g.mask_of(goal), PLAYER0, _full(g))
 
 
 def cobuchi_win(g: GameGraph, goal) -> np.ndarray:
@@ -215,31 +214,34 @@ def _reach_exits(g: GameGraph, goal: np.ndarray, universe: np.ndarray,
                           & ~universe[g.edge_targets])
 
 
+def _solved(g: GameGraph, w0: np.ndarray, colive: np.ndarray,
+            groups) -> SolveResult:
+    """The result of a solve on the whole graph whose player-0 region is
+    w0: player 1 wins the rest, and the template's unsafe set is the
+    player-0 edges from w0 into the rest, besides the given co-live mask
+    and live-groups (edge-id arrays)."""
+    w1 = ~w0
+    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
+    unsafe[_crossing_edges(g, w0, w1)] = True
+    return SolveResult(w0, w1, StrategyTemplate.from_groups(
+        g, unsafe, colive, groups, w0))
+
+
 def safety_template(g: GameGraph, safe) -> SolveResult:
     """Template for staying in the safe set: forbid the region-leaving
     edges.  The unsafe set is exact, every winning positional strategy
     avoids exactly these edges."""
-    w0 = safety_win(g, safe)
-    w1 = ~w0
-    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
-    unsafe[_crossing_edges(g, w0, w1)] = True
-    colive = np.zeros(g.edge_count, dtype=np.bool_)
-    tpl = StrategyTemplate.from_groups(g, unsafe, colive, [], w0)
-    return SolveResult(w0, w1, tpl)
+    return _solved(g, safety_win(g, safe),
+                   np.zeros(g.edge_count, dtype=np.bool_), [])
 
 
 def buchi_template(g: GameGraph, goal) -> SolveResult:
-    """Template for visiting the goal infinitely often: stay in the
-    winning region, plus one live-group per distance layer."""
-    goal_mask = g.mask_of(goal)
-    w0 = buchi_win(g, goal_mask)
-    w1 = ~w0
-    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
-    unsafe[_crossing_edges(g, w0, w1)] = True
-    groups = reach_template(g, goal_mask & w0, universe=w0) if w0.any() else []
-    colive = np.zeros(g.edge_count, dtype=np.bool_)
-    tpl = StrategyTemplate.from_groups(g, unsafe, colive, groups, w0)
-    return SolveResult(w0, w1, tpl)
+    """Template for visiting the goal infinitely often: the parity
+    template of priority 2 on the goal and 1 elsewhere.  That is the
+    region's boundary plus one live-group per distance layer toward the
+    goal inside the region, and no co-live edge."""
+    return parity_template(g, PriorityFunction(
+        np.where(g.mask_of(goal), 2, 1), 2))
 
 
 def cobuchi_template(g: GameGraph, goal) -> SolveResult:
@@ -265,9 +267,6 @@ def cobuchi_template(g: GameGraph, goal) -> SolveResult:
     """
     goal_mask = g.mask_of(goal)
     w0 = cobuchi_win(g, goal_mask)
-    w1 = ~w0
-    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
-    unsafe[_crossing_edges(g, w0, w1)] = True
     colive = np.zeros(g.edge_count, dtype=np.bool_)
     off = g.succ_offsets()
     src = g.edge_sources()
@@ -300,8 +299,7 @@ def cobuchi_template(g: GameGraph, goal) -> SolveResult:
         colive[ids[remaining[to] & ((rw > rv) | ((rw == rv) & (rv > 0)))]] = True
         remaining &= ~peel
 
-    tpl = StrategyTemplate.from_groups(g, unsafe, colive, [], w0)
-    return SolveResult(w0, w1, tpl)
+    return _solved(g, w0, colive, [])
 
 
 def _remembered(memo: dict, kind: str, g: GameGraph, target: np.ndarray,
@@ -486,11 +484,8 @@ def parity_template(g: GameGraph, priorities: PriorityFunction) -> SolveResult:
     """
     if len(priorities) != g.vertex_count:
         raise ValueError("priority function does not cover the vertex set")
-    w0, w1, groups, colive_ids = parity_parts(g, priorities.values, _full(g))
-    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
-    unsafe[_crossing_edges(g, w0, w1)] = True
+    w0, _, groups, colive_ids = parity_parts(g, priorities.values, _full(g))
     colive = np.zeros(g.edge_count, dtype=np.bool_)
     for ids in colive_ids:
         colive[ids] = True
-    tpl = StrategyTemplate.from_groups(g, unsafe, colive, groups, w0)
-    return SolveResult(w0, w1, tpl)
+    return _solved(g, w0, colive, groups)

@@ -62,23 +62,19 @@ class Strategy:
     is fixed at extraction time.
     """
 
-    __slots__ = ("graph", "region_mask", "_off", "_order", "_live", "_cursor")
+    __slots__ = ("graph", "region_mask", "_off", "_order", "_cursor")
 
     def __init__(self, graph: GameGraph, off: np.ndarray, order: np.ndarray,
-                 live: np.ndarray, region_mask: np.ndarray):
+                 region_mask: np.ndarray):
         self.graph = graph
         self.region_mask = region_mask
         self._off = off
         self._order = order
-        self._live = live
         self._cursor = np.zeros(graph.vertex_count, dtype=np.int64)
 
     def domain_vertices(self) -> np.ndarray:
         """Vertices with at least one allowed edge, ascending."""
         return np.flatnonzero(np.diff(self._off) > 0)
-
-    def has_move(self, v: int) -> bool:
-        return self._off[v + 1] > self._off[v]
 
     def allowed_ids(self, v: int) -> np.ndarray:
         """Allowed edge ids at v in rotation order."""
@@ -86,10 +82,6 @@ class Strategy:
 
     def allowed(self, v: int) -> list[Edge]:
         return [self.graph.edge_of(int(e)) for e in self.allowed_ids(v)]
-
-    def live_flags(self, v: int) -> np.ndarray:
-        """Parallel to allowed_ids(v): True where the edge is in a live-group."""
-        return self._live[self._off[v]:self._off[v + 1]]
 
     def peek(self, v: int) -> Edge:
         """The edge the next move(v) will play, without advancing."""
@@ -153,8 +145,8 @@ def extract_strategy(g: GameGraph, t: StrategyTemplate) -> Strategy:
     report = find_conflicts(g, t)
     if not report.is_conflict_free:
         raise ConflictError(report)
-    off, order, live = _rotation(g, t)
-    return Strategy(g, off, order, live, t.region_mask.copy())
+    off, order, _ = _rotation(g, t)
+    return Strategy(g, off, order, t.region_mask.copy())
 
 
 @dataclass(frozen=True)

@@ -209,11 +209,15 @@ def attr_mask(g: GameGraph, target: np.ndarray, player: int,
     """Least fixpoint of cpre for the player, seeded with target.
 
     The player's vertices join after one edge into the set, the
-    opponent's after all of their (restricted) edges.
+    opponent's after all of their (restricted) edges.  A target that
+    already covers the universe is the closure, and the call returns it
+    before it builds any counter.
     """
+    in_a = target.copy() if universe is None else (target & universe)
+    if in_a.all() if universe is None else np.array_equal(in_a, universe):
+        return in_a
     counter = _restricted_degrees(g, universe)
     counter[g.owners == player] = 1
-    in_a = target.copy() if universe is None else (target & universe)
     _attractor(g, in_a, counter, np.flatnonzero(in_a), universe)
     return in_a
 

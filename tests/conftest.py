@@ -207,10 +207,7 @@ def sample_compliant_strategy(g, t, rng):
     off = np.zeros(g.vertex_count + 1, dtype=np.int64)
     np.cumsum(counts, out=off[1:])
     order = np.array(kept_ids, dtype=np.int64)
-    live = np.zeros(order.size, dtype=np.bool_)
-    for members in group_ids:
-        live |= np.isin(order, sorted(members))
-    return Strategy(g, off, order, live, t.region_mask.copy())
+    return Strategy(g, off, order, t.region_mask.copy())
 
 
 def periodic_buchi_check(g, online, goal, trace):

@@ -16,8 +16,8 @@ from conftest import (buchi_pf, cobuchi_pf, edge, edges, six_game,
                       periodic_buchi_check, pf_by_name, rand_game, vset)
 from pgtemplates.cli import main as cli_main
 from pgtemplates.compose import ComposeState, add_objective, compose_templates
-from pgtemplates.fault import (CSV_HEADER, delete_edges, fault_correction,
-                               gaf_tolerant, online_strategy)
+from pgtemplates.fault import (CSV_HEADER, OnlineStrategy, delete_edges,
+                               fault_correction, gaf_tolerant)
 from pgtemplates.generator import GeneratorConfig, generate
 from pgtemplates.graph import PLAYER0, PriorityFunction
 from pgtemplates.oracle import (brute_force_gen_parity_region,
@@ -263,7 +263,7 @@ def test_11_availability_fault_checks(g6):
     drop_ad = edges(g6, ("a", "d"))
     assert gaf_tolerant(g6, repeat_cd, drop_ad) == (True, frozenset())
 
-    online = online_strategy(g6, repeat_cd, drop_ad)
+    online = OnlineStrategy(g6, repeat_cd, drop_ad)
     full = list(g6.edges())
     oddstep = [e for e in full if e != edge(g6, "a", "d")]
     assert periodic_buchi_check(g6, online, vset(g6, "cd"),

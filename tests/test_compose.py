@@ -214,7 +214,8 @@ def test_compose_region_sound_and_strategies_win(seed, k):
 def test_compose_rejects_conflicted_result(g6, monkeypatch):
     # a state that leaves vertex a without any allowed edge
     colive = np.zeros(g6.edge_count, dtype=np.bool_)
-    lo, hi = g6.edge_range(g6.id_of("a"))
+    a = g6.id_of("a")
+    lo, hi = g6.succ_offsets()[a:a + 2]
     colive[lo:hi] = True
     bad = ComposeState(g6, np.ones(g6.vertex_count, dtype=np.bool_), (),
                        colive, (phi3(g6),))

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from pgtemplates import (GameGraph, OnlineStrategy, OnlineStrategyError,
                          PriorityFunction, StrategyTemplate, conjoin,
                          delete_edges, extract_strategy, fault_correction,
-                         find_conflicts, gaf_tolerant, online_strategy,
-                         parity_template, simulate_fault_conflicts,
-                         verify_strategy, zielonka_regions)
+                         find_conflicts, gaf_tolerant, parity_template,
+                         simulate_fault_conflicts, verify_strategy,
+                         zielonka_regions)
 from conftest import (buchi_pf, edge, edges, names_of, periodic_buchi_check,
                       rand_game, vset)
 
@@ -79,8 +79,7 @@ def test_fault_correction_slow_path_matches_oracle(g6):
     t = psi2(g6)
     faulty = edges(g6, ("a", "c"), ("a", "d"))
     fault_mask = np.zeros(g6.edge_count, dtype=np.bool_)
-    for e in faulty:
-        fault_mask[g6.edge_id(*e)] = True
+    fault_mask[g6.edge_ids(*zip(*faulty))] = True
     patched = StrategyTemplate(g6, t.unsafe_mask | fault_mask,
                                t.colive_mask, t.group_off, t.group_ids,
                                t.region_mask)
@@ -111,7 +110,7 @@ def test_gaf_tolerant_ignores_edges_leaving_the_region():
     t = StrategyTemplate.from_edges(g, region={0})
     assert gaf_tolerant(g, t, [(0, 0)]) == (False, frozenset({0}))
     with pytest.raises(ValueError, match="stuck at vertices"):
-        online_strategy(g, t, [(0, 0)])
+        OnlineStrategy(g, t, [(0, 0)])
 
 
 @settings(deadline=None, max_examples=40)
@@ -125,7 +124,7 @@ def test_gaf_tolerant_holds_without_faults(seed):
 
 def test_online_strategy_full_availability_matches_extraction(g6):
     t = psi2(g6)
-    online = online_strategy(g6, t, edges(g6, ("a", "d")))
+    online = OnlineStrategy(g6, t, edges(g6, ("a", "d")))
     static = extract_strategy(g6, t)
     a = g6.id_of("a")
     assert online.allowed(a) == static.allowed(a)
@@ -136,7 +135,7 @@ def test_online_strategy_full_availability_matches_extraction(g6):
 
 
 def test_online_strategy_skips_unavailable_live_edge(g6):
-    online = online_strategy(g6, psi2(g6), edges(g6, ("a", "d")))
+    online = OnlineStrategy(g6, psi2(g6), edges(g6, ("a", "d")))
     a = g6.id_of("a")
     without_ad = [e for e in g6.edges() if e != edge(g6, "a", "d")]
     assert online.move(a, without_ad) == edge(g6, "a", "c")
@@ -146,12 +145,12 @@ def test_online_strategy_skips_unavailable_live_edge(g6):
 
 def test_online_strategy_requires_gaf(g6):
     with pytest.raises(ValueError, match="stuck at vertices"):
-        online_strategy(g6, psi13(g6),
+        OnlineStrategy(g6, psi13(g6),
                         edges(g6, ("a", "a"), ("a", "c"), ("a", "d")))
 
 
 def test_online_strategy_errors_when_nothing_available(g6):
-    online = online_strategy(g6, psi2(g6), edges(g6, ("a", "d")))
+    online = OnlineStrategy(g6, psi2(g6), edges(g6, ("a", "d")))
     a = g6.id_of("a")
     none_from_a = [e for e in g6.edges() if e[0] != a]
     with pytest.raises(OnlineStrategyError, match="no allowed edge"):
@@ -161,7 +160,7 @@ def test_online_strategy_errors_when_nothing_available(g6):
 def test_online_strategy_periodic_trace_keeps_winning(g6):
     # e_ad vanishes at every odd step; the rotation must still reach
     # the goal set infinitely often on every play
-    online = online_strategy(g6, psi2(g6), edges(g6, ("a", "d")))
+    online = OnlineStrategy(g6, psi2(g6), edges(g6, ("a", "d")))
     full = list(g6.edges())
     oddstep = [e for e in full if e != edge(g6, "a", "d")]
     assert periodic_buchi_check(g6, online, vset(g6, "cd"),
@@ -174,7 +173,7 @@ def test_online_strategy_unfair_trace_can_starve(g6):
     t = StrategyTemplate.from_edges(
         g6, unsafe=edges(g6, ("a", "a"), ("a", "c"), ("a", "d"),
                            ("d", "b"), ("d", "e")))
-    online = online_strategy(g6, t, [])
+    online = OnlineStrategy(g6, t, [])
     assert not periodic_buchi_check(g6, online, vset(g6, "cd"),
                                     [list(g6.edges())])
 

@@ -270,7 +270,7 @@ def ref_parse_strategy(text, g):
     region = np.zeros(n, dtype=np.bool_)
     region[list(per_vertex)] = True
     order = np.array(order, dtype=np.int64)
-    return Strategy(g, off, order, np.zeros(len(order), dtype=np.bool_), region)
+    return Strategy(g, off, order, region)
 
 
 # -- comparison ------------------------------------------------------------------

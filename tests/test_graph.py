@@ -71,7 +71,7 @@ def test_edge_ids_are_grouped_by_source(g6):
     assert (np.diff(src) >= 0).all()
     for e in range(g6.edge_count):
         u, v = g6.edge_of(e)
-        assert g6.edge_id(u, v) == e
+        assert g6.edge_ids([u], [v]).tolist() == [e]
 
 
 def test_edge_ids_resolves_pairs_in_bulk(g6):
@@ -80,8 +80,6 @@ def test_edge_ids_resolves_pairs_in_bulk(g6):
     f, a = g6.id_of("f"), g6.id_of("a")
     # absent, negative and out-of-range ids all give -1
     assert list(g6.edge_ids([f, -1, a, 6, a], [a, a, -1, 0, 6])) == [-1] * 5
-    with pytest.raises(KeyError):
-        g6.edge_id(f, a)
 
 
 def test_pred_csr_inverts_successors(g6):
@@ -97,7 +95,6 @@ def test_pred_csr_inverts_successors(g6):
 def test_mask_and_set_round_trip(g6):
     m = g6.mask_of(vset(g6, "ad"))
     assert set(np.flatnonzero(m)) == vset(g6, "ad")
-    assert g6.set_of(m) == vset(g6, "ad")
     with pytest.raises(ValueError, match="out of range"):
         g6.mask_of([99])
     # an iterable of booleans only, Python or numpy, is a mask
@@ -117,7 +114,7 @@ def test_priority_function_basics():
     assert pf.max_priority == 2
     assert pf.of(1) == 2
     assert pf.odd_ceiling() == 3
-    assert set(pf.vertices_with(1)) == {2, 3, 4, 5}
+    assert set(np.flatnonzero(pf.values == 1)) == {2, 3, 4, 5}
     assert pf == PriorityFunction([0, 2, 1, 1, 1, 1], 2)
     assert pf != PriorityFunction([0, 2, 1, 1, 1, 1], 4)
 
@@ -146,5 +143,5 @@ def small_games(draw):
 @given(small_games())
 def test_generated_graphs_are_total(g):
     for v in g.vertices():
-        assert g.degree(v) >= 1
+        assert len(g.successors(v)) >= 1
         assert list(g.successors(v)) == sorted(set(g.successors(v)))

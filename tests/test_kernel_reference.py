@@ -1,6 +1,6 @@
 """Differential checks of the attractor kernel, reach_template,
-cobuchi_template, the parity solver's memo and the conflict check
-against the implementations they replaced.
+buchi_template, cobuchi_template, the parity solver's memo and the
+conflict check against the implementations they replaced.
 
 The kernel and reach_template run small rounds and layers as scalar
 steps and large ones with numpy; the kernel checks run every case with
@@ -21,8 +21,12 @@ bincount each.  The last two now speak the template's live-group
 format: reach_template gives one edge-id array per layer, and a starved
 vertex maps to the indices of its groups.  parity_parts_reference runs
 the parity solver's steps on the trampoline without a memo, so every
-repeated subgame is solved again.
+repeated subgame is solved again.  buchi_template_reference is the
+Büchi solver's own region loop followed by one reach_template layering
+inside the region, which buchi_template replaced by the parity template
+of the Büchi encoding.
 """
+import hashlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,12 +34,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import (ComposeState, ConflictReport, PriorityFunction,
-                         StrategyTemplate, compose, compose_templates, conjoin,
-                         find_conflicts, pad_to_odd, parity_template,
-                         reach_template, relabel, solvers, transformers)
+from pgtemplates import (ComposeState, ConflictReport, GeneratorConfig,
+                         PriorityFunction, StrategyTemplate, buchi_template,
+                         compose, compose_templates, conjoin, find_conflicts,
+                         generate, pad_to_odd, parity_template, reach_template,
+                         relabel, solvers, template_text, transformers)
 from pgtemplates.graph import GameGraph, PLAYER0
-from pgtemplates.solvers import (SolveResult, _crossing_edges,
+from pgtemplates.solvers import (SolveResult, _buchi_region, _crossing_edges,
                                  _safety_region, cobuchi_template, cobuchi_win,
                                  parity_parts)
 from pgtemplates.transformers import (_attractor, _attractor_run,
@@ -150,6 +155,21 @@ def reach_template_reference(g, goal, universe=None):
             groups.append(ids)
         a = uattr_mask_reference(g, a | b, universe)
     return groups
+
+
+def buchi_template_reference(g: GameGraph, goal) -> SolveResult:
+    """Template for visiting the goal infinitely often: stay in the
+    winning region, plus one live-group per distance layer."""
+    goal_mask = g.mask_of(goal)
+    w0 = _buchi_region(g, goal_mask, PLAYER0,
+                       np.ones(g.vertex_count, dtype=np.bool_))
+    w1 = ~w0
+    unsafe = np.zeros(g.edge_count, dtype=np.bool_)
+    unsafe[_crossing_edges(g, w0, w1)] = True
+    groups = reach_template(g, goal_mask & w0, universe=w0) if w0.any() else []
+    colive = np.zeros(g.edge_count, dtype=np.bool_)
+    tpl = StrategyTemplate.from_groups(g, unsafe, colive, groups, w0)
+    return SolveResult(w0, w1, tpl)
 
 
 def cobuchi_template_reference(g: GameGraph, goal) -> SolveResult:
@@ -304,6 +324,24 @@ def test_attr_mask_matches_reference(case, player):
             got = attr_mask(g, target, player, universe)
         assert_unchanged([target, universe], kept)
         assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(game_and_masks(), st.integers(0, 1))
+def test_attr_mask_returns_early_when_the_target_covers_the_universe(case, player):
+    # no counters are built: the target is already the closure
+    g, extra, universe = case
+    target = extra | (np.ones(g.vertex_count, dtype=np.bool_) if universe is None
+                      else universe)
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transformers, "_restricted_degrees",
+                   lambda *args: built.append(args) or _restricted_degrees(*args))
+        got = attr_mask(g, target, player, universe)
+    assert built == []
+    assert np.array_equal(got, attr_mask_reference(g, target, player, universe))
+    assert not any(np.shares_memory(got, mask) for mask in (target, universe)
+                   if mask is not None)
 
 
 @settings(deadline=None, max_examples=300)
@@ -517,6 +555,53 @@ def test_reach_template_returns_early_when_the_goal_covers_the_universe(case):
     assert got == outcome(reach_template_reference, g, goal, universe) == []
 
 
+def solve_bytes(result):
+    """A solve result as bytes: the template's text, then both regions."""
+    return (template_text(result.template).encode() + result.w0_mask.tobytes()
+            + result.w1_mask.tobytes())
+
+
+GOAL_DENSITIES = (0, 0.05, 0.3, 1)
+
+
+def test_buchi_template_matches_reference():
+    # seeded games of every edge density 1-5 with goals of every density
+    # above, from empty to the whole vertex set
+    for seed in range(3000):
+        g, _ = rand_game(seed, 40, 1, density=1 + seed % 5)
+        rng = np.random.default_rng([seed, 7])
+        goal = rng.random(g.vertex_count) < GOAL_DENSITIES[seed % 4]
+        want = solve_bytes(buchi_template_reference(g, goal))
+        assert solve_bytes(buchi_template(g, goal)) == want, seed
+
+
+def forward_chain(length):
+    """Player-0 chain: vertex i steps to i-1, and 0 to itself."""
+    return GameGraph.from_lists([0] * length,
+                                [[0]] + [[i - 1] for i in range(1, length)])
+
+
+def back_chain(length):
+    """Player-0 chain: vertex i steps to i-1 or waits, and 0 waits."""
+    return GameGraph.from_lists([0] * length,
+                                [[0]] + [[i - 1, i] for i in range(1, length)])
+
+
+def test_buchi_template_matches_reference_at_scale():
+    # one layer per vertex on both chains (goal {0}); the random game's
+    # goal is its top priority
+    n = 100_000
+    g, objectives = generate(GeneratorConfig(
+        objective_count=1, max_priority=3, seed=1, vertex_count=n,
+        edge_count=4 * n))
+    cases = [(forward_chain(n), [0]), (back_chain(n), [0]),
+             (g, objectives[0].values == 3)]
+    for g, goal in cases:
+        want = hashlib.md5(solve_bytes(buchi_template_reference(g, goal)))
+        got = hashlib.md5(solve_bytes(buchi_template(g, goal)))
+        assert got.hexdigest() == want.hexdigest()
+
+
 def assert_same_cobuchi(g, goal):
     want = cobuchi_template_reference(g, goal)
     kept = copies(goal)
@@ -689,7 +774,7 @@ def test_find_conflicts_matches_reference_on_patched_templates(seed, data):
 def test_find_conflicts_keeps_group_order_and_identity(g6):
     # two equal-content groups stay distinct indices in the report
     a = g6.id_of("a")
-    lo, hi = g6.edge_range(a)
+    lo, hi = g6.succ_offsets()[a:a + 2]
     t = StrategyTemplate.from_groups(
         g6, np.isin(np.arange(g6.edge_count), np.arange(lo, hi)),
         np.zeros(g6.edge_count, dtype=np.bool_), [np.arange(lo, hi)] * 2,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import (GeneratorConfig, buchi_template, buchi_win,
+from pgtemplates import (GeneratorConfig, buchi_template,
                          cobuchi_template, cobuchi_win, extract_strategy,
                          find_conflicts, generate, parity_template,
                          reach_template, safety_template, safety_win,
@@ -41,7 +41,6 @@ def test_safety_trivial_sets(g6):
 
 
 def test_buchi_win_and_template(g6):
-    assert buchi_win(g6, vset(g6, "cd")).all()
     result = buchi_template(g6, vset(g6, "cd"))
     assert result.w0_mask.all()
     assert result.template.unsafe_edges == frozenset()

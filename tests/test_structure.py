@@ -31,6 +31,12 @@ silently bypass the memo.
 The command line front end reads no vertex label: every vertex list it
 prints comes from gameio's renderer, so one module decides how labels
 become text and checks that they read back.
+
+Every template a solver or composition returns gets its unsafe set, the
+player-0 edges leaving its region, from one helper (solvers._solved):
+each producer calls it, or another producer that does, and builds no
+template itself, and no other production function stores into a mask
+at the edge ids _crossing_edges finds.
 """
 import ast
 import sys
@@ -294,3 +300,93 @@ def test_kernel_ref_reader_sees_direct_kernel_use():
     assert _kernel_refs(source, "_parity_solve", "_remembered") == ([3, 4, 5], True)
     assert _kernel_refs(source, "other", "_remembered") == ([7], False)
     assert _kernel_refs(source, "missing", "_remembered") is None
+
+
+UNSAFE_HELPER = "_solved"
+TEMPLATE_BUILDERS = {"StrategyTemplate", "from_groups", "from_edges"}
+
+
+def _producers(source):
+    """Names of the public top-level functions of source that return a
+    SolveResult."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_")
+                  and isinstance(node.returns, ast.Name)
+                  and node.returns.id == "SolveResult")
+
+
+def _off_helper_producers(sources, producers):
+    """The producers (module, function) that neither call the helper nor
+    another producer, or that build a template themselves."""
+    names = {name for _, name in producers}
+    found = []
+    for module, name in producers:
+        for node in ast.parse(sources[module]).body:
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                calls = {_called_name(n) for n in ast.walk(node)
+                         if isinstance(n, ast.Call)}
+                if (not calls & (names | {UNSAFE_HELPER})
+                        or calls & TEMPLATE_BUILDERS):
+                    found.append((module, name))
+                break
+        else:
+            found.append((module, name))
+    return found
+
+
+def _crossing_stores(source):
+    """Line numbers, outside the helper, of the stores into a subscript
+    at edge ids from _crossing_edges: the call itself, or a name bound to
+    its result in the same function."""
+    found = set()
+    for top in ast.walk(ast.parse(source)):
+        if not isinstance(top, ast.FunctionDef) or top.name == UNSAFE_HELPER:
+            continue
+        bound = {target.id for node in ast.walk(top)
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                 and _called_name(node.value) == "_crossing_edges"
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(top):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AugAssign) else [])
+            for target in targets:
+                index = target.slice if isinstance(target, ast.Subscript) else None
+                if (isinstance(index, ast.Call)
+                        and _called_name(index) == "_crossing_edges"
+                        or isinstance(index, ast.Name) and index.id in bound):
+                    found.add(node.lineno)
+    return sorted(found)
+
+
+def test_templates_get_their_unsafe_set_from_one_helper():
+    sources = _sources(PACKAGE)
+    producers = [("solvers.py", name) for name in _producers(sources["solvers.py"])]
+    assert [name for _, name in producers] == [
+        "buchi_template", "cobuchi_template", "parity_template", "safety_template"]
+    producers.append(("compose.py", "compose_templates"))
+    assert _off_helper_producers(sources, producers) == []
+    assert [(name, line) for name, source in sorted(sources.items())
+            if name != "oracle.py" for line in _crossing_stores(source)] == []
+
+
+def test_unsafe_set_reader_sees_templates_built_elsewhere():
+    source = ("def _solved(g, w0):\n    unsafe[_crossing_edges(g, w0, ~w0)] = True\n"
+              "def a_template(g) -> SolveResult:\n    return _solved(g, w0)\n"
+              "def b_template(g) -> SolveResult:\n    return a_template(g)\n"
+              "def c_template(g) -> SolveResult:\n"
+              "    ids = _crossing_edges(g, w0, w1)\n    unsafe[ids] = True\n"
+              "    return SolveResult(w0, w1, StrategyTemplate.from_groups(g, unsafe))\n"
+              "def d_template(g) -> SolveResult:\n"
+              "    t = _solved(g, w0).template\n"
+              "    return SolveResult(w0, w1, StrategyTemplate(g, t.unsafe_mask))\n"
+              "def _e(g) -> SolveResult:\n    colive.append(_crossing_edges(g, x, y))\n"
+              "    mask[_crossing_edges(g, x, y)] |= True\n"
+              "def reach_template(g) -> list:\n    return []\n")
+    sources = {"s.py": source}
+    names = _producers(source)
+    assert names == ["a_template", "b_template", "c_template", "d_template"]
+    producers = [("s.py", name) for name in names] + [("s.py", "missing")]
+    assert _off_helper_producers(sources, producers) == [
+        ("s.py", "c_template"), ("s.py", "d_template"), ("s.py", "missing")]
+    assert _crossing_stores(source) == [9, 16]

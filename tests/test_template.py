@@ -42,8 +42,8 @@ def with_groups(g, off, ids):
 
 
 def test_constructor_rejects_malformed_group_csr(g6):
-    ac, ad, da, ba = (g6.edge_id(*e) for e in edges(
-        g6, ("a", "c"), ("a", "d"), ("d", "a"), ("b", "a")))
+    ac, ad, da, ba = g6.edge_ids(*zip(*edges(
+        g6, ("a", "c"), ("a", "d"), ("d", "a"), ("b", "a"))))
     t = with_groups(g6, [0, 2, 3], [ac, ad, da])
     assert t.live_groups == (frozenset(edges(g6, ("a", "c"), ("a", "d"))),
                              frozenset(edges(g6, ("d", "a"))))

@@ -220,7 +220,7 @@ def strategies(draw, g):
         order.extend(moves[:k])
     n = g.vertex_count
     return Strategy(g, np.cumsum([0] + counts), np.array(order, dtype=np.int64),
-                    np.zeros(len(order), dtype=np.bool_), np.ones(n, dtype=np.bool_))
+                    np.ones(n, dtype=np.bool_))
 
 
 # -- input 1: small graphs, with and without names ------------------------------
@@ -251,7 +251,7 @@ def test_edge_cases_render_like_the_reference():
         g = GameGraph(np.array([0], dtype=np.int8), np.array([0, 1]), np.array([0]), names)
         t = StrategyTemplate.from_edges(g, region=[])
         s = Strategy(g, np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                     np.zeros(0, dtype=np.bool_), np.zeros(1, dtype=np.bool_))
+                     np.zeros(1, dtype=np.bool_))
         assert template_text(t) == ref_template_text(t) == "region:\nunsafe:\ncolive:\n"
         assert strategy_text(s) == ref_strategy_text(s) == "\n"
         assert emit_game(g, [PriorityFunction([0])]) == ref_emit_game(g, [PriorityFunction([0])])
@@ -328,7 +328,7 @@ def test_writers_hold_no_more_memory_than_the_reference():
 
     def fresh_strategy():
         h = GameGraph(g.owners, g.succ_offsets(), g.edge_targets, g.names)
-        return Strategy(h, s._off, s._order, s._live, s.region_mask)
+        return Strategy(h, s._off, s._order, s.region_mask)
 
     assert _peak(template_text, fresh_template()) <= _peak(ref_template_text, fresh_template())
     assert _peak(strategy_text, fresh_strategy()) <= _peak(ref_strategy_text, fresh_strategy())
