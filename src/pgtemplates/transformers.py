@@ -214,7 +214,7 @@ def attr_mask(g: GameGraph, target: np.ndarray, player: int,
     before it builds any counter.
     """
     in_a = target.copy() if universe is None else (target & universe)
-    if in_a.all() if universe is None else np.array_equal(in_a, universe):
+    if (in_a.all() if universe is None else np.array_equal(in_a, universe)):
         return in_a
     counter = _restricted_degrees(g, universe)
     counter[g.owners == player] = 1

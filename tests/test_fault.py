@@ -146,7 +146,7 @@ def test_online_strategy_skips_unavailable_live_edge(g6):
 def test_online_strategy_requires_gaf(g6):
     with pytest.raises(ValueError, match="stuck at vertices"):
         OnlineStrategy(g6, psi13(g6),
-                        edges(g6, ("a", "a"), ("a", "c"), ("a", "d")))
+                       edges(g6, ("a", "a"), ("a", "c"), ("a", "d")))
 
 
 def test_online_strategy_errors_when_nothing_available(g6):
