@@ -11,13 +11,15 @@ region.  The loop terminates because (region size, region vertices not
 yet top-odd, summed over the objectives) decreases lexicographically
 between re-solve rounds; that is checked at runtime (RuntimeError).
 
-Folding one objective keeps one parity-solver memo (see
-solvers.parity_parts) for all of its solves and rounds, so a subgame on
-which the objectives agree, or which a re-solve round visits again, is
-solved once.  The memo also keeps every attractor and reach-template
-run under its input masks, so objectives whose priorities differ on a
-few trap or gadget vertices still share the runs on the subgames they
-reach alike.  The memo is dropped when the fold returns.
+A composition keeps one parity-solver memo (see solvers.parity_parts)
+on its ComposeState for all of its folds, solves and rounds, so a
+subgame on which the objectives agree, or which a re-solve round or a
+later fold visits again, is solved once.  The memo also keeps every
+attractor and reach-template run under its input masks, so objectives
+whose priorities differ on a few trap or gadget vertices still share
+the runs on the subgames they reach alike.  Every later solve runs
+inside the region a fold leaves, so after each fold the entries whose
+universe reaches outside that region are dropped.
 
 The procedure is sound but deliberately not complete: re-solving after
 a conflict may give up vertices a cleverer coordination could keep.
@@ -64,9 +66,18 @@ def relabel(pf: PriorityFunction, u) -> PriorityFunction:
 class ComposeState:
     """Carry-over between incremental composition calls: the current
     region, accumulated template parts (one edge-id array per
-    live-group), and the (possibly relabeled) objectives so far."""
+    live-group), and the (possibly relabeled) objectives so far.
 
-    __slots__ = ("graph", "w0_mask", "live_groups", "colive_mask", "objectives")
+    A state also holds the composition's parity-solver memo, private
+    and empty in a new state; a fold hands it on to the state it
+    returns.  A state extended twice, with different objectives, shares
+    one memo between the branches.  That stays correct, since every
+    entry is a function of the graph and its key masks alone; a prune
+    for one branch only costs the other some hits.
+    """
+
+    __slots__ = ("graph", "w0_mask", "live_groups", "colive_mask", "objectives",
+                 "_memo")
 
     def __init__(self, graph: GameGraph, w0_mask: np.ndarray,
                  live_groups: tuple[np.ndarray, ...], colive_mask: np.ndarray,
@@ -76,6 +87,7 @@ class ComposeState:
         self.live_groups = live_groups
         self.colive_mask = colive_mask
         self.objectives = objectives
+        self._memo: dict = {}
 
     @classmethod
     def initial(cls, g: GameGraph) -> "ComposeState":
@@ -137,7 +149,7 @@ def _fold_objective(g: GameGraph, state: ComposeState,
     # the entry round reuses the carried template parts and is not
     # comparable to a full solve
     prev = None
-    memo: dict = {}
+    memo = state._memo
 
     while True:
         new_w0 = w0.copy()
@@ -150,7 +162,10 @@ def _fold_objective(g: GameGraph, state: ComposeState,
         interim = StrategyTemplate.from_groups(g, no_unsafe, colive, groups, new_w0)
         report = find_conflicts(g, interim)
         if report.is_conflict_free:
-            return ComposeState(g, new_w0, tuple(groups), colive, tuple(objs))
+            _prune(memo, new_w0)
+            folded = ComposeState(g, new_w0, tuple(groups), colive, tuple(objs))
+            folded._memo = memo
+            return folded
         conflict = g.mask_of(report.all_vertices)
         objs = [relabel(pf, conflict) for pf in objs]
         measure = _measure(new_w0, objs)
@@ -162,6 +177,19 @@ def _fold_objective(g: GameGraph, state: ComposeState,
         groups = []
         colive = np.zeros(g.edge_count, dtype=np.bool_)
         solve_from = 0
+
+
+def _prune(memo: dict, region: np.ndarray) -> None:
+    """Drop the memo entries whose universe reaches outside region.
+
+    A step entry's key is its packed universe (bytes), a kernel entry's
+    a tuple whose last element is; every later solve runs inside the
+    region, so such an entry can never hit again."""
+    outside = np.packbits(~region)
+    for key in list(memo):
+        universe = key if isinstance(key, bytes) else key[-1]
+        if (np.frombuffer(universe, np.uint8) & outside).any():
+            del memo[key]
 
 
 def add_objective(g: GameGraph, state: ComposeState,

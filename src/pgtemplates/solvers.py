@@ -20,8 +20,9 @@ priorities inside it repeat from there.  The same memo keeps each
 attractor and reach_template run of a step under its kind, player,
 target and universe masks (n/8 bytes of result per attractor entry),
 so objectives whose priorities differ elsewhere still share those
-runs.  A memo lives for one parity_parts call, or for one composition
-fold that passes it to every call; there is no module-level cache.
+runs.  A memo lives for one parity_parts call, or for a whole
+composition, whose ComposeState carries it from fold to fold and which
+passes it to every call; there is no module-level cache.
 """
 from __future__ import annotations
 
@@ -303,20 +304,23 @@ def cobuchi_template(g: GameGraph, goal) -> SolveResult:
 
 
 def _remembered(memo: dict, kind: str, g: GameGraph, target: np.ndarray,
-                player: int, universe: np.ndarray):
+                player: int, universe: np.ndarray, packed: bytes | None = None):
     """attr_mask(g, target, player, universe) for kind "attr", or
     reach_template(g, target, universe) for kind "reach" (player 0),
     each run at most once per memo.
 
     The entry is keyed on (kind, player, packed target, packed
     universe) and holds the packed result bits, or the tuple of group
-    arrays, which are never written.  A hit returns a fresh mask or
-    list; a ValueError propagates and stores nothing.  The kernels are
-    looked up as module globals at call time, so a wrapper put there
-    sees every real run.
+    arrays, which are never written.  ``packed``, when given, is the
+    universe's packed bits, which the caller already has; otherwise
+    they are packed here.  A hit returns a fresh mask or list; a
+    ValueError propagates and stores nothing.  The kernels are looked
+    up as module globals at call time, so a wrapper put there sees
+    every real run.
     """
-    key = (kind, player, np.packbits(target).tobytes(),
-           np.packbits(universe).tobytes())
+    if packed is None:
+        packed = np.packbits(universe).tobytes()
+    key = (kind, player, np.packbits(target).tobytes(), packed)
     held = memo.get(key)
     if kind == "attr":
         if held is None:
@@ -332,7 +336,7 @@ def _remembered(memo: dict, kind: str, g: GameGraph, target: np.ndarray,
 
 
 def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
-                  memo: dict):
+                  memo: dict, packed: bytes | None = None):
     """One recursion step of the parity solver, written as a generator.
 
     Yields the universe of a needed sub-solve and receives its result;
@@ -340,6 +344,8 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
     given universe.  Run via _trampoline so recursion depth stays flat
     and repeated sub-solves come from its memo; the step's attractor
     and reach_template runs go through the same memo (_remembered).
+    Those on the step's own universe take its packed bits from
+    ``packed`` when the caller has them (the trampoline's step key).
     """
     nothing = np.zeros(len(universe), dtype=np.bool_)
     if not universe.any():
@@ -348,14 +354,14 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
     p_d = universe & (vals == d)
 
     if d % 2 == 1:
-        a = _remembered(memo, "attr", g, p_d, PLAYER1, universe)
+        a = _remembered(memo, "attr", g, p_d, PLAYER1, universe, packed)
         rest = universe & ~a
         if not rest.any():
             return nothing, universe.copy(), [], []
         w0, w1, groups, colive = yield rest
         if not w0.any():
             return nothing, universe.copy(), [], []
-        b = _remembered(memo, "attr", g, w0, PLAYER0, universe)
+        b = _remembered(memo, "attr", g, w0, PLAYER0, universe, packed)
         colive.append(_crossing_edges(g, w0, universe & ~w0))
         reach = _remembered(memo, "reach", g, w0, PLAYER0, b)
         colive.append(_reach_exits(g, w0, b, reach, universe))
@@ -363,18 +369,18 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
         w0p, w1p, groups2, colive2 = yield (universe & ~b)
         return w0p | b, w1p, groups + groups2, colive + colive2
 
-    a = _remembered(memo, "attr", g, p_d, PLAYER0, universe)
+    a = _remembered(memo, "attr", g, p_d, PLAYER0, universe, packed)
     rest = universe & ~a
     if not rest.any():
         return (universe.copy(), nothing,
-                _remembered(memo, "reach", g, p_d, PLAYER0, universe), [])
+                _remembered(memo, "reach", g, p_d, PLAYER0, universe, packed), [])
     w0, w1, groups, colive = yield rest
     if not w1.any():
         reach = _remembered(memo, "reach", g, p_d, PLAYER0, a)
         colive.append(_reach_exits(g, p_d, a, reach, universe))
         groups.extend(reach)
         return universe.copy(), nothing, groups, colive
-    b = _remembered(memo, "attr", g, w1, PLAYER1, universe)
+    b = _remembered(memo, "attr", g, w1, PLAYER1, universe, packed)
     # templates from the first sub-solve cover vertices that player 1
     # can now drag into b; drop them and re-solve the remainder
     w0p, w1p, groups2, colive2 = yield (universe & ~b)
@@ -418,8 +424,10 @@ def _trampoline(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
     on a tuple of (kind, player, packed target, packed universe).  These
     depend on no priority, so objectives that differ elsewhere in the
     universe share them.  An attractor entry holds n/8 bytes of result
-    beside the two n/8-byte masks of its key.  Both kinds live as long
-    as the memo: one parity_parts call or one composition fold.
+    beside the two n/8-byte masks of its key.  A step's kernel runs on
+    its own universe reuse the step's key as their packed universe.
+    Both kinds live as long as the memo: one parity_parts call or one
+    composition, which prunes it to the new region after each fold.
     """
     stack = []
     pending, result = universe, None
@@ -428,7 +436,7 @@ def _trampoline(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
             key = np.packbits(pending).tobytes()
             entry = _recall(memo.get(key, ()), vals, pending)
             if entry is None:
-                stack.append((_parity_solve(g, vals, pending, memo), key))
+                stack.append((_parity_solve(g, vals, pending, memo, key), key))
                 result = None
             else:
                 w0 = np.unpackbits(entry[1], count=len(pending)).view(np.bool_)
@@ -461,9 +469,10 @@ def parity_parts(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
     attractor and reach_template run of a step is kept there too, under
     its input masks, and answered from there whatever the priorities
     (see _trampoline; an attractor entry costs about 3n/8 bytes).
-    Without a memo the call uses a fresh dict, dropped on return.  A caller may share one dict between calls on the same
-    graph, as composition does over one fold; the entries are only
-    valid for that graph.  The memo holds the priority arrays it saw: a
+    Without a memo the call uses a fresh dict, dropped on return.  A
+    caller may share one dict between calls on the same graph, as
+    composition does over all of its folds; the entries are only valid
+    for that graph.  The memo holds the priority arrays it saw: a
     writable vals is copied first, so that no later write to it changes
     what the memo holds, and a read-only one must not change while the
     memo is in use.

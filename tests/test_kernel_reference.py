@@ -717,9 +717,9 @@ def test_parity_parts_with_a_shared_memo_matches_reference(seed, k, data):
 
 
 def test_shared_memo_hits_on_a_compose_shaped_game(monkeypatch):
-    # every solve of the fold is also run without a memo and with a memo
-    # of its own; the fold's shared memo saves steps within a call and
-    # across the calls
+    # every solve of the composition is also run without a memo and with
+    # a memo of its own; the composition's shared memo saves steps within
+    # a call and across the calls, of one fold and of later folds
     g, objectives = compose_shaped_game(2, 16)
     steps = counted_steps(monkeypatch)
 
@@ -744,7 +744,7 @@ def test_shared_memo_hits_on_a_compose_shaped_game(monkeypatch):
         with scalar_limit(limit):
             compose_templates(g, ComposeState.initial(g), objectives)
         shared, own, reference = map(sum, zip(*taken))
-        assert (shared, own, reference) == (43, 52, 78)
+        assert (shared, own, reference) == (41, 52, 78)
 
 
 @settings(deadline=None, max_examples=150)
