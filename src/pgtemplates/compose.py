@@ -184,11 +184,11 @@ def _prune(memo: dict, region: np.ndarray) -> None:
 
     A step entry's key is its packed universe (bytes), a kernel entry's
     a tuple whose last element is; every later solve runs inside the
-    region, so such an entry can never hit again."""
-    outside = np.packbits(~region)
+    region, so such an entry can never hit again.  Each universe is
+    tested as one integer, so the test copies one key at a time."""
+    outside = int.from_bytes(np.packbits(~region).tobytes(), "big")
     for key in list(memo):
-        universe = key if isinstance(key, bytes) else key[-1]
-        if (np.frombuffer(universe, np.uint8) & outside).any():
+        if int.from_bytes(key if isinstance(key, bytes) else key[-1], "big") & outside:
             del memo[key]
 
 
