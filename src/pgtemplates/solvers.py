@@ -32,9 +32,8 @@ import numpy as np
 
 from .graph import GameGraph, PLAYER0, PLAYER1, PriorityFunction
 from .template import StrategyTemplate
-from . import transformers
-from .transformers import (_attractor, _attractor_run, _range_ids,
-                           _restricted_degrees, attr_mask)
+from .transformers import (_attractor, _range_ids, _restricted_degrees,
+                           attr_mask)
 
 
 class SolveResult:
@@ -132,18 +131,14 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
     contributes one live-group: its edges into the closed set.  The
     universe, like the goal, may be given as vertex ids or as a mask.
 
-    Both closures come from one run of the attractor kernel with one
-    counter array (every vertex needs all of its restricted edges in
-    the set), resumed from each frontier in turn: the frontier is the
-    touched player-0 vertices still outside the set.  Over the whole
-    call every edge is counted once and scanned at most once for a
-    group, so it costs O(n + m) however many layers there are.  Like the
-    kernel's rounds, a layer with fewer than _SCALAR_LIMIT touched
-    entries is taken by a scalar step (a Python set, sorted) and larger
-    ones with numpy; both give the same group.  The scalar step reads
-    the set, the owners and the successor lists, and marks the layer's
-    vertices, through memoryviews made once per call, as the kernel's
-    scalar rounds do.
+    Both closures and every layer come from one call of the attractor
+    kernel with one counter array (every vertex needs all of its
+    restricted edges in the set; see transformers._attractor): the
+    frontier is the touched player-0 vertices still outside the set,
+    taken inside the kernel's loop whenever the closure stops.  Over the
+    whole call every edge is counted once and scanned at most once for a
+    group, so it costs O(n + m) however many layers there are.  The
+    groups are slices of one int64 array.
 
     A goal that already covers the universe gives no group, and the
     call returns before it builds any counter.
@@ -157,42 +152,13 @@ def reach_template(g: GameGraph, goal, universe=None) -> list[np.ndarray]:
     outside = int(universe.sum()) - frontier.size
     if outside == 0:
         return []
-    counter = _restricted_degrees(g, universe)
-    off = g.succ_offsets()
-    dst = g.edge_targets
-    owners = g.owners
-    touched: list = []
-    grow = _attractor_run(g, a, counter, universe, touched)
-    av, ownv, offv, dstv = transformers._views(a, owners, off, dst)
     groups: list[np.ndarray] = []
-    while True:
-        outside -= grow(frontier)
-        if outside == 0:
-            return groups
-        # a touched player-1 vertex joins only once all of its edges
-        # lead into the set, and the kernel adds it itself then
-        if sum(map(len, touched)) < transformers._SCALAR_LIMIT:
-            b = [v for v in sorted(set().union(*touched))
-                 if not av[v] and ownv[v] == PLAYER0]
-            ids = np.array([e for v in b for e in range(offv[v], offv[v + 1])
-                            if av[dstv[e]]], dtype=np.int64)
-            for v in b:
-                av[v] = True
-        else:
-            b = (np.unique(np.concatenate(touched)) if touched
-                 else np.empty(0, np.int64))
-            b = b[~a[b] & (owners[b] == PLAYER0)]
-            ids = _range_ids(off, b)
-            ids = ids[a[dst[ids]]]
-            a[b] = True
-        touched.clear()
-        if len(b) == 0:
-            raise ValueError(
-                "reach_template: goal is not player-0 attractable from the "
-                "whole graph; restrict to the attractor first")
-        groups.append(ids)
-        outside -= len(b)
-        frontier = b
+    if _attractor(g, a, _restricted_degrees(g, universe), frontier, universe,
+                  groups=groups) < outside:
+        raise ValueError(
+            "reach_template: goal is not player-0 attractable from the "
+            "whole graph; restrict to the attractor first")
+    return groups
 
 
 def _reach_exits(g: GameGraph, goal: np.ndarray, universe: np.ndarray,
@@ -350,7 +316,9 @@ def _parity_solve(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
     nothing = np.zeros(len(universe), dtype=np.bool_)
     if not universe.any():
         return nothing, nothing.copy(), [], []
-    d = int(vals[universe].max())
+    # priorities are non-negative, so zeroing those outside the universe
+    # keeps its top one, without gathering the universe's entries
+    d = int((vals * universe).max())
     p_d = universe & (vals == d)
 
     if d % 2 == 1:
@@ -457,7 +425,8 @@ def _trampoline(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
 
 def parity_parts(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
                  memo: dict | None = None):
-    """Solve a parity objective on the universe-restricted subgame.
+    """Solve a parity objective on the universe-restricted subgame; vals
+    holds one non-negative priority per vertex, as PriorityFunction does.
 
     Returns (w0, w1, live-group id arrays, colive id arrays) without deriving
     unsafe edges; composition combines parts from several objectives

@@ -15,60 +15,65 @@ kernel uses worklist semantics for such vertices: a vertex with no
 the seed set.  Full graphs are total, so the public operators match the
 textbook definitions exactly.
 
-Both attractors run on one counter-based worklist kernel.  Every vertex
-carries a counter of the edges into the set it still needs: 1 for the
-attracting player's vertices and the restricted out-degree for the
-opponent's in ``attr``, the restricted out-degree for everyone in
-``uattr``.  A vertex joins the set when its counter reaches zero, so
+Both attractors run on one counter-based worklist kernel, ``_attractor``.
+Every vertex carries a counter of the edges into the set it still needs:
+1 for the attracting player's vertices and the restricted out-degree
+for the opponent's in ``attr``, the restricted out-degree for everyone
+in ``uattr``.  A vertex joins the set when its counter reaches zero, so
 one kernel round adds exactly one layer of the matching one-step
 operator, taken inside the universe: with ``attr``'s counters, the
 vertices of cpre(set) outside the set; with ``uattr``'s, those of
-upre(set).
+upre(set).  When given a ``rounds`` list, the kernel appends each
+round's joined vertices (a list of ints or an int64 array), so that the
+i-th entry is the i-th one-step layer around the set the call started
+from.
 
 The kernel grows a set mask in place from a frontier of vertices just
-added to it, and leaves the counters where they stopped.  A caller may
-therefore add vertices to the set itself and resume the kernel from
-them with the same counters: ``_attractor_run`` starts a run and
-returns the function that grows and resumes it, and ``_attractor`` is
-a run grown once.  The result is the closure of everything added so
-far, at O(n + m) over all resumptions together.  When given a
-``touched`` list, the kernel appends to it, at most once per round, the
-vertices whose counter fell without reaching zero (an int64 array, or a
-non-empty list of ints), so that every vertex it leaves outside the set
-with a (restricted) edge into the set is listed at least once (a listed
-vertex may still join later).  When given a ``rounds`` list, it appends
-each round's joined vertices, in the same forms, so that the i-th entry
-is the i-th one-step layer around the set the call started from.
+added to it, and leaves the counters where they stopped: a later call
+with the same counters, from vertices the caller added to the set,
+resumes the closure, at O(n + m) over all calls together.  With
+``uattr``'s counters and a ``groups`` list, one call is the whole
+distance layering of reach_template: whenever the closure stops, the
+player-0 vertices outside the set whose counter has fallen, which are
+exactly those with a (restricted) edge into the set, join as the next
+layer, their edges into the set make one live-group, and the closure
+resumes from them inside the same loop.
 
 A round runs in one of two forms, chosen from its frontier size.  A
 large frontier takes one numpy round: gather the predecessors, count
-them with ``np.unique`` and subtract the counts.  A small one takes a
-scalar round that walks each frontier vertex's predecessor list and
-decrements counters one edge at a time; a vertex joins as soon as its
-counter reaches zero and the round's later edges skip it.  The scalar
-round reads the predecessor lists and the universe, and reads and
-writes the set mask and the counters, through memoryviews of the same
-buffers, made once per kernel run however often it is resumed, so each
-step indexes in Python ints instead of going through numpy scalars.  Deep
-graphs run thousands of rounds that each move a vertex or two, where
-numpy's per-call dispatch would cost far more than the work.  Both forms
-compute the same closure and leave the same counters on every vertex
-outside the set, which is what a resumption reads; counters of vertices
-inside the set may differ, and nothing reads them.
+them with ``np.unique`` and subtract the counts.  A small one runs in
+the scalar form, a worklist over one Python list: the loop walks each
+frontier vertex's predecessor list and decrements counters one edge at
+a time, appends a vertex to the list as soon as its counter reaches
+zero (the round's later edges skip it), and keeps the index where the
+current round ends, so the rounds stay exact layers.  Reach_template's
+layer step runs in the same loop while it stays small.  The scalar form
+reads the predecessor lists and the universe, and reads and writes the
+set mask and the counters, through memoryviews of the same buffers, made
+once per kernel call, so each step indexes in Python ints instead of
+going through numpy scalars.  Deep graphs run thousands of rounds that
+each move a vertex or two, where numpy's per-call dispatch would cost
+far more than the work.  Both forms compute the same closure and leave
+the same counters on every vertex outside the set, which is what a
+resumption reads; counters of vertices inside the set may differ, and
+nothing reads them.
 """
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
 from .graph import GameGraph, PLAYER0, PLAYER1
 
 
-# Attractor rounds whose frontier, and reach_template layers whose
-# touched list, hold fewer vertices than this run as scalar Python
-# steps: below it numpy's per-call dispatch costs more than the work.
-# Measured on a random graph of n=25 000 and m=100 000 (in-degree 4),
-# one round costs about 0.9 us per frontier vertex in the scalar form
-# and 24-30 us in the numpy form, so the two cross near 28 vertices.
+# Attractor rounds whose frontier, and reach_template layer steps whose
+# counter falls, number fewer than this run as scalar Python steps:
+# below it numpy's per-call dispatch costs more than the work.  Measured
+# on a random graph of n=25 000 and m=100 000 (in-degree 4), one round
+# from k random vertices costs about 3 us plus 0.87 us per frontier
+# vertex in the scalar worklist and 26-29 us in the numpy form for k of
+# 8-32, so the two cross near 28 vertices.
 # In-process passes of the benchmark's solve and compose commands
 # (minimum of five) moved by at most 2 % between 32 and 64: deep and
 # compose-incremental 1-2 % faster, random-large 0.6 % slower.
@@ -115,93 +120,186 @@ def _views(*arrays) -> list:
     return [None if x is None else memoryview(x) for x in arrays]
 
 
-def _attractor_run(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
-                   universe: np.ndarray | None,
-                   touched: list | None = None,
-                   rounds: list | None = None):
-    """Counter-based worklist shared by every attractor; returns a
-    function that grows the set from a frontier and returns how many
-    vertices joined.
+def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
+               frontier, universe: np.ndarray | None,
+               rounds: list | None = None,
+               groups: list | None = None) -> int:
+    """Counter-based worklist shared by every attractor: grows in_a, in
+    place, from a frontier and returns how many vertices joined.
 
     counter[v] is how many of v's (restricted) edges must lead into the
-    set before v joins it.  The frontier (an id array or list) holds
-    vertices already in in_a whose predecessors have not been counted
-    yet.  Each round decrements the counters of the frontier's
-    predecessors once per edge and adds those that reach zero to in_a,
-    in place, so every edge is inspected a constant number of times and
-    a call costs O(n + m); a round touches only the frontier's edges,
-    not all n counters.  The rest of each round's counted predecessors
-    go to ``touched`` when given, and each round's non-empty set of
-    joined vertices (a list of ints or an int64 array) to ``rounds``.
-    The returned function may be called again, from vertices the
-    caller added to in_a, and resumes with the same counters.
+    set before v joins it.  The frontier (an id array or list, never
+    written) holds vertices already in in_a whose predecessors have not
+    been counted yet.  Each round decrements the counters of the
+    frontier's predecessors once per edge and adds those that reach zero
+    to in_a, so every edge is inspected a constant number of times and a
+    call costs O(n + m); a round touches only the frontier's edges, not
+    all n counters.  Each round's non-empty set of joined vertices (a
+    list of ints or an int64 array) goes to ``rounds`` when given.
 
-    A frontier of fewer than _SCALAR_LIMIT vertices runs as a scalar
-    round over the predecessor lists, which skips a vertex for the rest
-    of the round once it joins; larger ones run as one numpy round.
-    The scalar round reads and writes the arrays through memoryviews
-    made once per run (see _views).  Both forms add the same vertices
-    and leave the same counters on the vertices outside the set.
+    A frontier of fewer than _SCALAR_LIMIT vertices is taken by the
+    scalar form: one loop walks one Python list, to which each round's
+    joined vertices are appended, and keeps the index where the current
+    round ends, so each round still ends exactly there.  A vertex joins
+    as soon as its counter reaches zero, and the round's later edges
+    skip it.  Once a finished round leaves _SCALAR_LIMIT or more joined
+    vertices pending, numpy rounds take over: gather the predecessors,
+    count them with np.unique and subtract the counts; a round that
+    leaves fewer goes back to the list.  The scalar form reads and
+    writes the arrays through memoryviews made once per call (see
+    _views).  Both forms add the same vertices and leave the same
+    counters on the vertices outside the set.
+
+    With a ``groups`` list the call is reach_template's layering.  Each
+    counter that falls short of zero is recorded.  When the closure
+    stops, the recorded player-0 vertices still outside the set join it
+    as the next layer, their edges into the set before the layer joined
+    go onto one flat id list, and the closure goes on from them, until a
+    closure stops with no such vertex.  When fewer than _SCALAR_LIMIT
+    falls were recorded since the last step, numpy rounds' included, the
+    step is scalar, and inside the scalar loop it is just its next
+    round; otherwise it runs with numpy.  At the end ``groups`` receives
+    one ascending slice of one int64 array per layer, in layer order.
     """
     poff, psrc = g.pred_csr()
     inv, cntv, univ, poffv, psrcv = _views(in_a, counter, universe, poff, psrc)
+    # at least 1, so that an empty frontier never takes a numpy round
+    limit = max(_SCALAR_LIMIT, 1)
+    layered = groups is not None
+    if layered:
+        off, dst, owners = g.succ_offsets(), g.edge_targets, g.owners
+        ownv, offv, dstv = _views(owners, off, dst)
+        # counters that fell short of zero since the last layer step: the
+        # scalar rounds' vertices, and one array per numpy round holding
+        # spread vertices in all
+        fell: list = []
+        fall = fell.append
+        wide: list = []
+        spread = 0
+        # the layers' edge ids: arrays up to the last numpy step, then the
+        # scalar steps' ints; ends[i] is where layer i's ids end, and base
+        # how many the arrays hold
+        parts: list = []
+        ids: list = []
+        ends: list = []
+        base = 0
 
-    def grow(frontier) -> int:
-        joined = 0
-        while len(frontier):
-            if len(frontier) < _SCALAR_LIMIT:
-                if isinstance(frontier, np.ndarray):
-                    frontier = frontier.tolist()
-                nxt = []
-                fell = []
-                for v in frontier:
-                    for u in psrcv[poffv[v]:poffv[v + 1]]:
-                        if inv[u] or (univ is not None and not univ[u]):
-                            continue
-                        c = cntv[u] - 1
-                        cntv[u] = c
-                        if c <= 0:
-                            inv[u] = True
-                            nxt.append(u)
-                        else:
-                            fell.append(u)
-                if touched is not None:
-                    fell = [u for u in fell if not inv[u]]
-                    if fell:
-                        touched.append(fell)
-                if rounds is not None and nxt:
-                    rounds.append(nxt)
-                frontier = nxt
-                joined += len(nxt)
-                continue
-            preds = _gather_ranges(poff, psrc, np.asarray(frontier))
+        def scalar_layer() -> list:
+            """Join the next layer and record its edge ids into the set;
+            returns the layer, ascending (empty when there is none)."""
+            nonlocal spread
+            for more in wide:
+                fell.extend(more.tolist())
+            wide.clear()
+            spread = 0
+            layer = []
+            for u in fell:
+                # a zero counter marks a vertex already taken; it joins
+                # below, and counters inside the set are not read
+                if not inv[u] and ownv[u] == PLAYER0 and cntv[u] > 0:
+                    cntv[u] = 0
+                    layer.append(u)
+            fell.clear()
+            if layer:
+                layer.sort()
+                for v in layer:
+                    for e in range(offv[v], offv[v + 1]):
+                        if inv[dstv[e]]:
+                            ids.append(e)
+                for v in layer:
+                    inv[v] = True
+                ends.append(base + len(ids))
+            return layer
+
+    joined = 0
+    todo = frontier if isinstance(frontier, np.ndarray) else list(frontier)
+    while True:
+        while len(todo) >= limit:
+            preds = _gather_ranges(poff, psrc, np.asarray(todo))
             if universe is not None:
                 preds = preds[universe[preds]]
             preds = preds[~in_a[preds]]
-            if preds.size == 0:
-                break
             cand, cnts = np.unique(preds, return_counts=True)
             counter[cand] -= cnts
             hit = counter[cand] <= 0
-            if touched is not None:
-                touched.append(cand[~hit])
-            frontier = cand[hit]
-            in_a[frontier] = True
-            joined += frontier.size
-            if rounds is not None and frontier.size:
-                rounds.append(frontier)
-        return joined
-
-    return grow
-
-
-def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
-               frontier, universe: np.ndarray | None,
-               touched: list | None = None,
-               rounds: list | None = None) -> int:
-    """One run of the kernel (see _attractor_run) from the frontier;
-    returns how many vertices joined."""
-    return _attractor_run(g, in_a, counter, universe, touched, rounds)(frontier)
+            if layered:
+                wide.append(cand[~hit])
+                spread += wide[-1].size
+            todo = cand[hit]
+            in_a[todo] = True
+            joined += todo.size
+            if rounds is not None and todo.size:
+                rounds.append(todo)
+        work = todo.tolist() if isinstance(todo, np.ndarray) else todo
+        push = work.append
+        start = end = len(work)
+        i = 0
+        for v in work:
+            for u in psrcv[poffv[v]:poffv[v + 1]]:
+                if inv[u] or (univ is not None and not univ[u]):
+                    continue
+                c = cntv[u] - 1
+                cntv[u] = c
+                if c <= 0:
+                    inv[u] = True
+                    push(u)
+                elif layered:
+                    fall(u)
+            i += 1
+            if i < end:
+                continue
+            if len(work) > end:
+                # a round ends: work[end:] joined in it
+                if rounds is not None:
+                    rounds.append(work[end:])
+            elif not layered or len(fell) + spread >= limit:
+                break
+            else:
+                # the closure stopped: its next layer is the next round
+                layer = scalar_layer()
+                if not layer:
+                    break
+                work.extend(layer)
+            end = len(work)
+            if end - i >= limit:
+                break
+        joined += len(work) - start
+        if i < end:
+            todo = work[i:]
+            continue
+        if not layered:
+            return joined
+        # the closure stopped outside the loop's layer step
+        if len(fell) + spread >= limit:
+            cand = np.concatenate([np.array(fell, dtype=np.int64)] + wide)
+            fell.clear()
+            wide.clear()
+            spread = 0
+            cand = cand[~in_a[cand] & (owners[cand] == PLAYER0)]
+            if not cand.size:
+                break
+            layer = np.unique(cand)
+            into = _range_ids(off, layer)
+            into = into[in_a[dst[into]]]
+            in_a[layer] = True
+            if ids:
+                parts.append(np.array(ids, dtype=np.int64))
+                base += len(ids)
+                ids.clear()
+            parts.append(into)
+            base += into.size
+            ends.append(base)
+        else:
+            layer = scalar_layer()
+        if not len(layer):
+            break
+        joined += len(layer)
+        todo = layer
+    if ids:
+        parts.append(np.array(ids, dtype=np.int64))
+    flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    groups.extend(flat[lo:hi] for lo, hi in zip(chain((0,), ends), ends))
+    return joined
 
 
 def attr_mask(g: GameGraph, target: np.ndarray, player: int,

@@ -43,9 +43,8 @@ from pgtemplates.graph import GameGraph, PLAYER0
 from pgtemplates.solvers import (SolveResult, _buchi_region, _crossing_edges,
                                  _safety_region, cobuchi_template, cobuchi_win,
                                  parity_parts)
-from pgtemplates.transformers import (_attractor, _attractor_run,
-                                      _gather_ranges, _restricted_degrees,
-                                      attr_mask)
+from pgtemplates.transformers import (_attractor, _gather_ranges,
+                                      _restricted_degrees, attr_mask)
 from conftest import compose_shaped_game, counted_steps, rand_game
 
 
@@ -435,23 +434,18 @@ def test_kernel_rounds_are_one_step_layers(case, player, both_wait):
         assert not layer_of(cur).any()
 
 
-def resumed(g, target, extra, universe, limit, one_run):
+def resumed(g, target, extra, universe, limit):
     """uattr closure of target, then of the extra vertices added to it,
-    by resuming the kernel with the same counters: in one kernel run,
-    as reach_template resumes it, or in a second run."""
+    by resuming the kernel with the same counters in a second call."""
     inside = np.ones(g.vertex_count, dtype=np.bool_) if universe is None else universe
     counter = _restricted_degrees(g, universe)
     in_a = target & inside
-    touched = []
     with scalar_limit(limit):
-        grow = _attractor_run(g, in_a, counter, universe, touched)
-        grow(np.flatnonzero(in_a))
+        _attractor(g, in_a, counter, np.flatnonzero(in_a), universe)
         more = extra & inside & ~in_a
         in_a |= more
-        if not one_run:
-            grow = _attractor_run(g, in_a, counter, universe, touched)
-        grow(np.flatnonzero(more))
-    return in_a, counter, touched
+        _attractor(g, in_a, counter, np.flatnonzero(more), universe)
+    return in_a, counter
 
 
 @settings(deadline=None, max_examples=300)
@@ -463,21 +457,10 @@ def test_resumed_attractor_counters_agree_across_forms(case, data):
     n = g.vertex_count
     extra = g.mask_of(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
     want = uattr_mask_reference(g, target | extra, universe)
-    src = g.edge_sources()
-    dst = g.edge_targets
-    ok = np.ones(g.edge_count, dtype=np.bool_) if universe is None else (
-        universe[src] & universe[dst])
-    results = [resumed(g, target, extra, universe, limit, one_run)
-               for limit in FORMS for one_run in (True, False)]
-    for in_a, counter, touched in results:
+    results = [resumed(g, target, extra, universe, limit) for limit in FORMS]
+    for in_a, counter in results:
         assert np.array_equal(in_a, want)
         assert np.array_equal(counter[~in_a], results[0][1][~in_a])
-        # every vertex left outside with an edge into the set is listed
-        listed = np.zeros(n, dtype=np.bool_)
-        for ids in touched:
-            listed[np.asarray(ids, dtype=np.int64)] = True
-        into = ok & ~in_a[src] & in_a[dst]
-        assert listed[src[into]].all()
 
 
 @st.composite
@@ -644,6 +627,116 @@ def test_cobuchi_template_matches_reference_over_several_peels(monkeypatch):
         cobuchi_template(g, goal)
         assert peels[0] == want
         assert_same_cobuchi(g, goal)
+
+
+def ladder(rungs):
+    """Rung i: a_i = 2i (player 0) waits or steps to b_i, and b_i = 2i + 1
+    (player 1) steps to a_{i+1} or b_{i+1}; the last rung's b closes back
+    to the first rung.  Player 0 attracts every vertex to the last b,
+    one vertex per layer."""
+    succs = []
+    for i in range(rungs):
+        succs += [[2 * i, 2 * i + 1],
+                  [2 * i + 2, 2 * i + 3] if i + 1 < rungs else [0, 1]]
+    return GameGraph.from_lists([0, 1] * rungs, succs)
+
+
+def deep_case(name):
+    """(graph, goal mask, priorities) of a deep-scale case: the goal is
+    the top priority's vertices, and the chains and the ladder carry the
+    Büchi encoding of their goal (2 on it, 1 elsewhere)."""
+    if name == "sparse_64":
+        g, pf = generate(GeneratorConfig(objective_count=1, max_priority=63,
+                                         seed=5, vertex_count=2000,
+                                         edge_count=3000))
+        pf = pf[0]
+        return g, pf.values == pf.values.max(), pf
+    kind, size = name.rsplit("_", 1)
+    g = back_chain(int(size)) if kind == "back_chain" else ladder(int(size))
+    goal = np.zeros(g.vertex_count, dtype=np.bool_)
+    goal[0 if kind == "back_chain" else -1] = True
+    return g, goal, PriorityFunction(np.where(goal, 2, 1), 2)
+
+
+def layers_reference(g, start, player):
+    """One set per one-step layer around start, as the kernel's rounds:
+    cpre layers for a player, upre layers for None."""
+    cur = start.copy()
+    layers = []
+    while True:
+        layer = ((upre_mask_reference(g, cur) if player is None
+                  else cpre_mask_reference(g, cur, player)) & ~cur)
+        if not layer.any():
+            return layers, cur
+        layers.append(set(np.flatnonzero(layer).tolist()))
+        cur |= layer
+
+
+def kernel_counters(g, player):
+    """Counters that make the kernel attr for a player, or uattr for
+    None."""
+    counter = _restricted_degrees(g, None)
+    if player is not None:
+        counter[g.owners == player] = 1
+    return counter
+
+
+@pytest.mark.parametrize("name", ["back_chain_3000", "ladder_1200",
+                                  "sparse_64", "back_chain_10000"])
+def test_kernel_matches_reference_on_deep_games(name, monkeypatch):
+    # hundreds to thousands of layers, most of one or two vertices; each
+    # form must give the reference's groups, masks, layers, counters and
+    # templates byte for byte
+    g, goal, pf = deep_case(name)
+    universe = attr_mask_reference(g, goal, PLAYER0)
+    reach_want = reach_template_reference(g, goal, universe)
+    assert reach_want
+    masks_want = [attr_mask_reference(g, goal, player, u)
+                  for player in (0, 1) for u in (None, universe)]
+    rounds_want = {player: layers_reference(g, goal, player)
+                   for player in (0, 1, None)}
+    src = g.edge_sources()
+    dst = g.edge_targets
+
+    def counters_left(player, closure):
+        # a vertex outside the closure still waits for its edges that do
+        # not lead into the closure
+        into = np.bincount(src[closure[dst]], minlength=g.vertex_count)
+        return (kernel_counters(g, player) - into)[~closure]
+
+    kept = {}
+
+    def reach_kept(g, goal, universe=None):
+        key = (goal.tobytes(), universe.tobytes())
+        if key not in kept:
+            kept[key] = reach_template_reference(g, goal, universe)
+        return list(kept[key])
+
+    kept[(goal.tobytes(), universe.tobytes())] = reach_want
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "attr_mask", attr_mask_reference)
+        mp.setattr(solvers, "reach_template", reach_kept)
+        parity_want = solve_bytes(parity_template(g, pf))
+    for limit in FORMS:
+        with scalar_limit(limit):
+            got = reach_template(g, goal, universe)
+            assert [ids.tobytes() for ids in got] == [
+                ids.tobytes() for ids in reach_want]
+            assert [attr_mask(g, goal, player, u).tobytes()
+                    for player in (0, 1) for u in (None, universe)] == [
+                        mask.tobytes() for mask in masks_want]
+            for player, (layers, closure) in rounds_want.items():
+                counter = kernel_counters(g, player)
+                got = goal.copy()
+                rounds = []
+                _attractor(g, got, counter, np.flatnonzero(goal), None,
+                           rounds=rounds)
+                assert [set(np.asarray(r).tolist()) for r in rounds] == layers
+                assert np.array_equal(got, closure)
+                assert np.array_equal(counter[~got],
+                                      counters_left(player, closure))
+            assert solve_bytes(parity_template(g, pf)) == parity_want
+    assert_same_cobuchi(g, goal)
 
 
 def assert_same_parts(got, want):

@@ -28,6 +28,12 @@ The parity solver's steps run their attractors and reach-template
 layerings only through the memo helper, so a later direct call cannot
 silently bypass the memo.
 
+There is one attractor kernel: no production module but transformers.py
+reads the predecessor lists (GameGraph.pred_csr) or decrements a
+counter, so a second worklist loop, such as a solver's own copy of the
+kernel's layer step, fails here.  The oracle is reference code and may
+keep its own.
+
 The command line front end reads no vertex label: every vertex list it
 prints comes from gameio's renderer, so one module decides how labels
 become text and checks that they read back.
@@ -390,3 +396,58 @@ def test_unsafe_set_reader_sees_templates_built_elsewhere():
     assert _off_helper_producers(sources, producers) == [
         ("s.py", "c_template"), ("s.py", "d_template"), ("s.py", "missing")]
     assert _crossing_stores(source) == [9, 16]
+
+
+KERNEL_MODULE = "transformers.py"
+
+
+def _kernel_work(source):
+    """Line numbers of the reads of GameGraph.pred_csr and of the
+    counter decrements in source: a subtraction stored back in place
+    (``c[i] -= k``), or a subtraction from an element of a sequence that
+    the same function also stores into (``x = c[i] - 1`` then
+    ``c[i] = x``)."""
+    found = set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "pred_csr":
+            found.add(node.lineno)
+    for top in ast.walk(tree):
+        if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        subtracted, stored = [], set()
+        for node in ast.walk(top):
+            if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)
+                    and isinstance(node.target, ast.Subscript)):
+                found.add(node.lineno)
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and isinstance(node.left, ast.Subscript)):
+                subtracted.append((ast.unparse(node.left.value), node.lineno))
+            elif isinstance(node, ast.Assign):
+                stored.update(ast.unparse(target.value) for target in node.targets
+                              if isinstance(target, ast.Subscript))
+        found.update(line for base, line in subtracted if base in stored)
+    return sorted(found)
+
+
+def test_only_the_kernel_runs_attractor_work():
+    sources = _sources(PACKAGE)
+    assert _kernel_work(sources[KERNEL_MODULE])
+    assert [(name, line) for name, source in sorted(sources.items())
+            if name not in (KERNEL_MODULE, "oracle.py")
+            for line in _kernel_work(source)] == []
+
+
+def test_kernel_work_reader_sees_copies_of_the_kernel():
+    source = ("def layer(g, counter, cand, cnts):\n"
+              "    poff, psrc = g.pred_csr()\n"
+              "    counter[cand] -= cnts\n"
+              "    for u in psrc:\n"
+              "        c = cntv[u] - 1\n"
+              "        cntv[u] = c\n"
+              "def offsets(off, v):\n"
+              "    last = off[v + 1] - 1\n"
+              "    return off[1:] - off[:-1], last\n"
+              "def shift(x, i):\n"
+              "    x.flat[i] -= 1\n")
+    assert _kernel_work(source) == [2, 3, 5, 11]
