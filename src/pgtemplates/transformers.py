@@ -46,8 +46,8 @@ the scalar form, a worklist over one Python list: the loop walks each
 frontier vertex's predecessor list and decrements counters one edge at
 a time, appends a vertex to the list as soon as its counter reaches
 zero (the round's later edges skip it), and keeps the index where the
-current round ends, so the rounds stay exact layers.  Reach_template's
-layer step runs in the same loop while it stays small.  The scalar form
+current round ends, so the rounds stay exact layers.  The layer step of
+reach_template runs in the same loop while it stays small.  The scalar form
 reads the predecessor lists and the universe, and reads and writes the
 set mask and the counters, through memoryviews of the same buffers, made
 once per kernel call, so each step indexes in Python ints instead of
@@ -74,9 +74,6 @@ from .graph import GameGraph, PLAYER0, PLAYER1
 # from k random vertices costs about 3 us plus 0.87 us per frontier
 # vertex in the scalar worklist and 26-29 us in the numpy form for k of
 # 8-32, so the two cross near 28 vertices.
-# In-process passes of the benchmark's solve and compose commands
-# (minimum of five) moved by at most 2 % between 32 and 64: deep and
-# compose-incremental 1-2 % faster, random-large 0.6 % slower.
 _SCALAR_LIMIT = 32
 
 

@@ -7,7 +7,10 @@ steps and large ones with numpy; the kernel checks run every case with
 all steps forced onto each form and with the two mixed (see ``FORMS``).
 The scalar steps read the arrays through memoryviews, so the public
 entry points are also run on strided and read-only masks, int32
-priorities and frontiers given as lists or int64 arrays.
+priorities and frontiers given as lists or int64 arrays.  Deep games
+(chains and a ladder with one vertex per layer, and a sparse game of 64
+priorities) check every form against the references at thousands of
+layers.
 
 The references below are the earlier code, kept verbatim apart from
 their names: two separate worklist loops for attr and uattr, the
