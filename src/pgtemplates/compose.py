@@ -10,6 +10,9 @@ value in every objective, and everything is re-solved on the shrunken
 region.  The loop terminates because (region size, region vertices not
 yet top-odd, summed over the objectives) decreases lexicographically
 between re-solve rounds; that is checked at runtime (RuntimeError).
+When relabeling leaves the measure where it was (the conflict vertices
+are top-odd everywhere already), the round gives them up, with their
+player-1 attractor, so the region shrinks and stays a player-1 trap.
 
 A composition keeps one parity-solver memo (see solvers.parity_parts)
 on its ComposeState for all of its folds, solves and rounds, so a
@@ -30,9 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import GameGraph, PriorityFunction, _vertex_mask
-from .solvers import _solved, parity_parts
+from .graph import GameGraph, PLAYER1, PriorityFunction, _vertex_mask
+from .solvers import _prune, _solved, parity_parts
 from .template import StrategyTemplate, find_conflicts
+from .transformers import attr_mask
 
 # a conjunction of parity objectives, one priority function each
 GeneralizedParityObjective = Sequence[PriorityFunction]
@@ -170,26 +174,17 @@ def _fold_objective(g: GameGraph, state: ComposeState,
         objs = [relabel(pf, conflict) for pf in objs]
         measure = _measure(new_w0, objs)
         if prev is not None and not measure < prev:
-            raise RuntimeError("composition measure failed to decrease: %s -> %s"
-                               % (prev, measure))
+            # relabeling changed nothing: give the conflict up
+            new_w0 &= ~attr_mask(g, conflict, PLAYER1, new_w0)
+            measure = _measure(new_w0, objs)
+            if not measure < prev:
+                raise RuntimeError("composition measure failed to decrease: %s -> %s"
+                                   % (prev, measure))
         prev = measure
         w0 = new_w0
         groups = []
         colive = np.zeros(g.edge_count, dtype=np.bool_)
         solve_from = 0
-
-
-def _prune(memo: dict, region: np.ndarray) -> None:
-    """Drop the memo entries whose universe reaches outside region.
-
-    A step entry's key is its packed universe (bytes), a kernel entry's
-    a tuple whose last element is; every later solve runs inside the
-    region, so such an entry can never hit again.  Each universe is
-    tested as one integer, so the test copies one key at a time."""
-    outside = int.from_bytes(np.packbits(~region).tobytes(), "big")
-    for key in list(memo):
-        if int.from_bytes(key if isinstance(key, bytes) else key[-1], "big") & outside:
-            del memo[key]
 
 
 def add_objective(g: GameGraph, state: ComposeState,

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Edge, GameGraph, PLAYER0, PriorityFunction
+from .graph import Edge, GameGraph, PLAYER0, PriorityFunction, _offsets
 from .solvers import parity_template
 from .strategy import StrategyDomainError, _rotation
 from .template import StrategyTemplate, _edge_mask, find_conflicts
@@ -67,13 +67,9 @@ def delete_edges(g: GameGraph, priorities: PriorityFunction,
     deg = np.bincount(kept_src, minlength=g.vertex_count)
     dead = np.flatnonzero(deg == 0)
     if dead.size:
-        starts = np.zeros(g.vertex_count, dtype=np.int64)
-        np.cumsum(deg[:-1], out=starts[1:])
-        kept_dst = np.insert(kept_dst, starts[dead], dead)
-        deg = deg.copy()
+        kept_dst = np.insert(kept_dst, _offsets(deg)[dead], dead)
         deg[dead] = 1
-    off = np.zeros(g.vertex_count + 1, dtype=np.int64)
-    np.cumsum(deg, out=off[1:])
+    off = _offsets(deg)
     g2 = GameGraph(g.owners, off, kept_dst, g.names)
     vals = priorities.values.copy()
     declared = priorities.max_priority

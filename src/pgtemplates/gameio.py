@@ -49,7 +49,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .graph import GameGraph, PLAYER0, PriorityFunction
+from .graph import GameGraph, PLAYER0, PriorityFunction, _offsets, _range_ids
 from .strategy import Strategy
 from .template import StrategyTemplate, _group_csr
 
@@ -147,22 +147,6 @@ def _counts(fields: Sequence[str]) -> np.ndarray:
     """Number of comma-separated items in each field."""
     return np.fromiter(map(str.count, fields, repeat(",")), dtype=np.int64,
                        count=len(fields)) + 1
-
-
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    off = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    return off
-
-
-def _regroup(counts: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Index array that lays the consecutive segments of the given
-    lengths out again in the given segment order."""
-    starts = _offsets(counts)[:-1]
-    lens = counts[order]
-    new_starts = _offsets(lens)[:-1]
-    return (np.repeat(starts[order] - new_starts, lens)
-            + np.arange(int(lens.sum()), dtype=np.int64))
 
 
 def _line_starts(text: str, mark: str) -> np.ndarray:
@@ -391,7 +375,7 @@ def _game_of_records(vids, prios, owners, deg, targets, name_f):
     else:  # dense ids in ascending id order; successors laid out in that order
         order = np.argsort(vids, kind="stable")
         ids = vids[order]
-        targets = targets[_regroup(deg, order)]
+        targets = targets[_range_ids(_offsets(deg), order)]
         deg = deg[order]
         dst = np.minimum(np.searchsorted(ids, targets), n - 1).astype(np.int64)
         missing = ids[dst] != targets
@@ -831,7 +815,7 @@ def _strategy_of(g: GameGraph, vids: np.ndarray, counts: np.ndarray,
     n = g.vertex_count
     per_vertex = np.zeros(n, dtype=np.int64)
     per_vertex[vids] = counts
-    order = eids[_regroup(counts, np.argsort(vids, kind="stable"))]
+    order = eids[_range_ids(_offsets(counts), np.argsort(vids, kind="stable"))]
     region = np.zeros(n, dtype=np.bool_)
     region[vids] = True
     return Strategy(g, _offsets(per_vertex), order, region)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GameGraph, PriorityFunction
+from .graph import GameGraph, PriorityFunction, _offsets
 
 
 @dataclass(frozen=True)
@@ -23,21 +23,14 @@ class GeneratorConfig:
     objective_count: int
     max_priority: int
     seed: int
-    base_graph: GameGraph | None = None
-    vertex_count: int | None = None
-    edge_count: int | None = None
+    vertex_count: int
+    edge_count: int
 
     def __post_init__(self):
         if self.objective_count < 1:
             raise ValueError("objective count must be at least 1")
         if self.max_priority < 1:
             raise ValueError("max priority must be at least 1")
-        if self.base_graph is not None:
-            if self.vertex_count is not None or self.edge_count is not None:
-                raise ValueError("give either a base graph or counts, not both")
-            return
-        if self.vertex_count is None or self.edge_count is None:
-            raise ValueError("need a base graph or vertex and edge counts")
         n, m = self.vertex_count, self.edge_count
         if n < 1:
             raise ValueError("need at least one vertex")
@@ -60,9 +53,7 @@ def _random_graph(rng: np.random.Generator, n: int, m: int) -> GameGraph:
     arr = np.fromiter(codes, dtype=np.int64, count=m)
     arr.sort()
     src, dst = arr // n, arr % n
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=off[1:])
-    return GameGraph(owners, off, dst)
+    return GameGraph(owners, _offsets(np.bincount(src, minlength=n)), dst)
 
 
 def _random_priorities(rng: np.random.Generator, n: int, m: int) -> PriorityFunction:
@@ -79,12 +70,9 @@ def _random_priorities(rng: np.random.Generator, n: int, m: int) -> PriorityFunc
 def generate(config: GeneratorConfig) -> tuple[GameGraph, list[PriorityFunction]]:
     """Draw a game from the config; pure in the config (seed included)."""
     rng = np.random.default_rng(config.seed)
-    if config.base_graph is not None:
-        g = config.base_graph
-    else:
-        g = _random_graph(rng, config.vertex_count, config.edge_count)
+    g = _random_graph(rng, config.vertex_count, config.edge_count)
     objectives = [
-        _random_priorities(rng, g.vertex_count, config.max_priority)
+        _random_priorities(rng, config.vertex_count, config.max_priority)
         for _ in range(config.objective_count)
     ]
     return g, objectives

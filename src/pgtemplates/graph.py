@@ -10,6 +10,11 @@ Successor lists are kept in CSR-style numpy arrays (offsets plus a flat
 target array).  The fixpoint loops in the solver modules run directly
 on these arrays, and an edge is identified internally by its position
 in the flat array.
+
+This module also owns the CSR arithmetic every layer shares: offsets
+from segment lengths (_offsets), the concatenated index ranges of
+chosen segments (_range_ids) and positions grouped by an integer key
+(_csr_order).  The other modules build their CSRs through these three.
 """
 from __future__ import annotations
 
@@ -56,9 +61,28 @@ def _vertex_mask(n: int, vertices) -> np.ndarray:
     return mask
 
 
+def _offsets(counts) -> np.ndarray:
+    """CSR offsets of consecutive segments of the given lengths: int64,
+    one longer than counts, starting at 0."""
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
+
+
+def _range_ids(off: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Concatenate range(off[i], off[i+1]) for each i in idx, in order."""
+    lens = off[idx + 1] - off[idx]
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    ends = np.cumsum(lens)
+    pos = np.arange(total, dtype=np.int64)
+    return pos + np.repeat(off[idx] - (ends - lens), lens)
+
+
 def _csr_order(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets and order of the CSR that groups the positions of keys by
-    their key, a vertex id below n.
+    their key, an integer below n.
 
     Returns (off, order): the positions with key k are order[off[k]:
     off[k + 1]], in ascending order, as a stable argsort of keys gives
@@ -67,8 +91,7 @@ def _csr_order(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     remainder by len(keys) the positions.  Needs n * len(keys) < 2**63.
     """
     m = keys.size
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n), out=off[1:])
+    off = _offsets(np.bincount(keys, minlength=n))
     order = np.multiply(keys, m, dtype=np.int64)
     order += np.arange(m, dtype=np.int64)
     order.sort()
@@ -301,8 +324,7 @@ class GraphBuilder:
         dead = [v for v in range(n) if not self._succs[v]]
         if dead:
             raise GraphBuildError("vertices without successors: %s" % (dead,))
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in self._succs], out=off[1:])
+        off = _offsets([len(s) for s in self._succs])
         dst = np.fromiter(
             (t for succ in self._succs for t in succ), dtype=np.int64, count=off[-1]
         )

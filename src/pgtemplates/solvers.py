@@ -30,10 +30,9 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import GameGraph, PLAYER0, PLAYER1, PriorityFunction
+from .graph import GameGraph, PLAYER0, PLAYER1, PriorityFunction, _range_ids
 from .template import StrategyTemplate
-from .transformers import (_attractor, _range_ids, _restricted_degrees,
-                           attr_mask)
+from .transformers import _attractor, _restricted_degrees, attr_mask
 
 
 class SolveResult:
@@ -421,6 +420,20 @@ def _trampoline(g: GameGraph, vals: np.ndarray, universe: np.ndarray,
             memo.setdefault(key, []).append(
                 (vals, np.packbits(result[0]), tuple(result[2]),
                  tuple(result[3])))
+
+
+def _prune(memo: dict, region: np.ndarray) -> None:
+    """Drop the memo entries whose universe reaches outside region.
+
+    A step entry's key is its packed universe (bytes), a kernel entry's
+    a tuple whose last element is; when every later solve runs inside
+    the region, as a composition's do after a fold, such an entry can
+    never hit again.  Each universe is tested as one integer, so the
+    test copies one key at a time."""
+    outside = int.from_bytes(np.packbits(~region).tobytes(), "big")
+    for key in list(memo):
+        if int.from_bytes(key if isinstance(key, bytes) else key[-1], "big") & outside:
+            del memo[key]
 
 
 def parity_parts(g: GameGraph, vals: np.ndarray, universe: np.ndarray,

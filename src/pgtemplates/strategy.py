@@ -122,16 +122,16 @@ def _rotation(g: GameGraph, t: StrategyTemplate):
 
     Returns (offsets, ordered edge ids, live flag per ordered edge).
     """
-    src = g.edge_sources()
     live_edge = np.zeros(g.edge_count, dtype=np.bool_)
     live_edge[t.group_ids] = True
     ids = np.flatnonzero(t.allowed_mask())
-    not_live = (~live_edge[ids]).astype(np.int8)
-    order = ids[np.lexsort((ids, not_live, src[ids]))]
-    counts = np.bincount(src[ids], minlength=g.vertex_count)
-    off = np.zeros(g.vertex_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=off[1:])
-    return off, order, live_edge[order]
+    # key 2*source + 1 for an edge outside every group: the ids ascend,
+    # so each source lists its live edges, then the rest, by edge id.
+    # The offsets are copied so that a strategy holds n+1 of them, not 2n+1
+    off, pos = _csr_order(2 * g.edge_sources()[ids] + ~live_edge[ids],
+                          2 * g.vertex_count)
+    order = ids[pos]
+    return off[::2].copy(), order, live_edge[order]
 
 
 def extract_strategy(g: GameGraph, t: StrategyTemplate) -> Strategy:
@@ -209,11 +209,9 @@ class _AllowedGraph:
         theirs = ~p0[g_src]
         src = np.concatenate((s_src[mine], g_src[theirs]))
         ids = np.concatenate((s._order[mine], np.flatnonzero(theirs)))
-        by_source = np.argsort(src, kind="stable")
+        off, by_source = _csr_order(src, n)
         self._src = src[by_source]
         self._targets = g.edge_targets[ids[by_source]]
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._src, minlength=n), out=off[1:])
         loop = np.zeros(n, dtype=np.bool_)
         loop[self._src[self._src == self._targets]] = True
         self.off = off.tolist()

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Edge, GameGraph, PLAYER0
+from .graph import Edge, GameGraph, PLAYER0, _offsets
 
 
 def _checked_ids(g: GameGraph, ids: np.ndarray) -> np.ndarray:
@@ -136,7 +136,7 @@ class StrategyTemplate:
                     groups: Sequence[np.ndarray], region: np.ndarray) -> "StrategyTemplate":
         """From one edge-id array per live-group, each nonempty, ascending
         and player-0-sourced, as the solvers produce them."""
-        off = np.cumsum([0] + [len(ids) for ids in groups])
+        off = _offsets([len(ids) for ids in groups])
         ids = np.concatenate(groups) if groups else np.empty(0, np.int64)
         return cls(graph, unsafe, colive, off, ids, region)
 

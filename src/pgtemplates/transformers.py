@@ -64,7 +64,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import GameGraph, PLAYER0, PLAYER1
+from .graph import GameGraph, PLAYER0, PLAYER1, _range_ids
 
 
 # Attractor rounds whose frontier, and reach_template layer steps whose
@@ -80,22 +80,6 @@ _SCALAR_LIMIT = 32
 def _check_player(player: int) -> None:
     if player not in (PLAYER0, PLAYER1):
         raise ValueError("player must be 0 or 1, got %r" % (player,))
-
-
-def _range_ids(off: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Concatenate range(off[i], off[i+1]) for each i in idx, in order."""
-    lens = off[idx + 1] - off[idx]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(lens)
-    pos = np.arange(total, dtype=np.int64)
-    return pos + np.repeat(off[idx] - (ends - lens), lens)
-
-
-def _gather_ranges(off: np.ndarray, flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Concatenate flat[off[i]:off[i+1]] for each i in idx, in order."""
-    return flat[_range_ids(off, idx)]
 
 
 def _restricted_degrees(g: GameGraph, universe: np.ndarray | None) -> np.ndarray:
@@ -212,7 +196,7 @@ def _attractor(g: GameGraph, in_a: np.ndarray, counter: np.ndarray,
     todo = frontier if isinstance(frontier, np.ndarray) else list(frontier)
     while True:
         while len(todo) >= limit:
-            preds = _gather_ranges(poff, psrc, np.asarray(todo))
+            preds = psrc[_range_ids(poff, np.asarray(todo))]
             if universe is not None:
                 preds = preds[universe[preds]]
             preds = preds[~in_a[preds]]

@@ -1,11 +1,17 @@
-"""Differential test of the predecessor CSRs against the stable argsort
-they replaced.
+"""Differential test of the CSRs built by graph's helpers against the
+code they replaced.
 
 graph._csr_order groups positions by key with one sort of the distinct
 values key*len + position.  The references below are the earlier code:
 a stable argsort of the keys next to their bincount.  GameGraph.pred_csr
 and _AllowedGraph.reach_back must give identical arrays and membership
 lists, and pred_csr may hold no more memory than the argsort did.
+
+The strategy layer's CSRs had their own sorts: a three-key lexsort for
+the rotation order and a stable argsort for the allowed-edge graph, and
+gameio regrouped segments with its own copy of the range gather.  Those
+bodies are kept below too; _rotation, _AllowedGraph and
+_range_ids(_offsets(counts), order) must equal them exactly.
 """
 import tracemalloc
 
@@ -14,10 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgtemplates import GeneratorConfig, StrategyDomainError, generate, verify_strategy
-from pgtemplates.graph import GameGraph, _csr_order
-from pgtemplates.strategy import _AllowedGraph
-from conftest import rand_game
+from pgtemplates import (ComposeState, GeneratorConfig, PriorityFunction, Strategy,
+                         StrategyDomainError, compose_templates, generate,
+                         parity_template, verify_strategy)
+from pgtemplates.fault import _with_unsafe
+from pgtemplates.graph import PLAYER0, GameGraph, _csr_order, _offsets, _range_ids
+from pgtemplates.strategy import _AllowedGraph, _rotation
+from conftest import pf_by_name, rand_game, six_game
 from test_verify_reference import _strategy
 
 
@@ -54,6 +63,51 @@ def ref_reach_back(graph, targets):
     return hit
 
 
+def ref_rotation(g, t):
+    src = g.edge_sources()
+    live_edge = np.zeros(g.edge_count, dtype=np.bool_)
+    live_edge[t.group_ids] = True
+    ids = np.flatnonzero(t.allowed_mask())
+    not_live = (~live_edge[ids]).astype(np.int8)
+    order = ids[np.lexsort((ids, not_live, src[ids]))]
+    counts = np.bincount(src[ids], minlength=g.vertex_count)
+    off = np.zeros(g.vertex_count + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off, order, live_edge[order]
+
+
+def ref_allowed_csr(g, s):
+    """off and dst of _AllowedGraph, as lists."""
+    n = g.vertex_count
+    p0 = g.owners == PLAYER0
+    s_src = np.repeat(np.arange(n, dtype=np.int64), np.diff(s._off))
+    g_src = g.edge_sources()
+    mine = p0[s_src]
+    theirs = ~p0[g_src]
+    src = np.concatenate((s_src[mine], g_src[theirs]))
+    ids = np.concatenate((s._order[mine], np.flatnonzero(theirs)))
+    by_source = np.argsort(src, kind="stable")
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[by_source], minlength=n), out=off[1:])
+    return off.tolist(), g.edge_targets[ids[by_source]].tolist()
+
+
+def _ref_starts(counts):
+    starts = np.zeros(len(counts), dtype=np.int64)
+    starts[1:] = np.cumsum(counts)[:-1]
+    return starts
+
+
+def ref_regroup(counts, order):
+    """Index array that lays the consecutive segments of the given
+    lengths out again in the given segment order."""
+    starts = _ref_starts(counts)
+    lens = counts[order]
+    new_starts = _ref_starts(lens)
+    return (np.repeat(starts[order] - new_starts, lens)
+            + np.arange(int(lens.sum()), dtype=np.int64))
+
+
 def _assert_same_csr(got, want):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
@@ -77,6 +131,26 @@ def test_csr_order_is_the_stable_argsort(case):
     want = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=want[1:])
     _assert_same_csr((off, order), (want, np.argsort(keys, kind="stable")))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(0, 4), max_size=12).flatmap(
+    lambda counts: st.tuples(st.just(counts), st.permutations(range(len(counts))),
+                             st.integers(0, len(counts)))))
+def test_range_ids_of_offsets_is_the_regroup(case):
+    """Segment lengths with zeros among them, in any order, and every
+    prefix of that order down to the empty one."""
+    counts, order, cut = case
+    counts = np.array(counts, dtype=np.int64)
+    order = np.array(order[:cut], dtype=np.int64)
+    _assert_same_csr([_range_ids(_offsets(counts), order)], [ref_regroup(counts, order)])
+
+
+@pytest.mark.parametrize("counts", [[], [0], [0, 0], [3, 0, 2]])
+def test_range_ids_of_an_empty_order(counts):
+    counts = np.array(counts, dtype=np.int64)
+    order = np.empty(0, dtype=np.int64)
+    _assert_same_csr([_range_ids(_offsets(counts), order)], [ref_regroup(counts, order)])
 
 
 # -- GameGraph.pred_csr ---------------------------------------------------------------
@@ -173,6 +247,50 @@ def test_reach_back_inputs_include_losing_strategies():
         except StrategyDomainError:
             pass
     assert losing >= 5
+
+
+# -- the strategy layer: _rotation and _AllowedGraph ------------------------------------
+
+
+def _template(g, objectives, kind, rng):
+    """A solved, composed or fault-patched template of the game: the
+    patched one marks a random fifth of the player-0 edges unsafe, as
+    the fast path of fault_correction does, conflicts or not."""
+    if kind == "composed":
+        return compose_templates(g, ComposeState.initial(g), objectives)[1]
+    t = parity_template(g, objectives[0]).template
+    if kind == "patched":
+        faulty = (g.owners[g.edge_sources()] == PLAYER0) & (rng.random(g.edge_count) < 0.2)
+        t = _with_unsafe(g, t, faulty)
+    return t
+
+
+def _assert_same_strategy_csrs(g, t):
+    got, want = _rotation(g, t), ref_rotation(g, t)
+    _assert_same_csr(got, want)
+    s = Strategy(g, want[0], want[1], t.region_mask.copy())
+    graph = _AllowedGraph(g, s)
+    assert (graph.off, graph.dst) == ref_allowed_csr(g, s)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 100_000), st.integers(1, 3),
+       st.sampled_from(["solved", "composed", "patched"]))
+def test_strategy_csrs_are_the_sorts_they_replace(seed, k, kind):
+    g, objectives = rand_game(seed, 30, 4, k=k)
+    if k == 1:
+        objectives = [objectives]
+    _assert_same_strategy_csrs(g, _template(g, objectives, kind,
+                                            np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("kind", ["solved", "composed", "patched"])
+def test_strategy_csrs_on_a_named_graph(kind):
+    g = six_game()
+    assert g.names is not None
+    objectives = [pf_by_name(g, 0, b=1), PriorityFunction([0, 2, 1, 1, 1, 1])]
+    _assert_same_strategy_csrs(g, _template(g, objectives, kind,
+                                            np.random.default_rng(1)))
 
 
 # -- memory ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pgtemplates import GeneratorConfig, emit_game, generate
-from conftest import six_game
 
 
 def test_generation_is_deterministic():
@@ -80,21 +79,13 @@ def test_columns_are_independent_draws():
             assert abs(joint - 1 / 16) < 0.02
 
 
-def test_base_graph_passthrough():
-    g = six_game()
-    cfg = GeneratorConfig(objective_count=2, max_priority=2, seed=1,
-                          base_graph=g)
-    got, objectives = generate(cfg)
-    assert got is g
-    assert all(len(pf) == 6 for pf in objectives)
-
-
 @pytest.mark.parametrize("kwargs,msg", [
     (dict(objective_count=0, max_priority=1, seed=0, vertex_count=2,
           edge_count=2), "objective count"),
     (dict(objective_count=1, max_priority=0, seed=0, vertex_count=2,
           edge_count=2), "max priority"),
-    (dict(objective_count=1, max_priority=1, seed=0), "base graph or vertex"),
+    (dict(objective_count=1, max_priority=1, seed=0, vertex_count=1,
+          edge_count=2), "at most 1 distinct"),
     (dict(objective_count=1, max_priority=1, seed=0, vertex_count=0,
           edge_count=0), "at least one vertex"),
     (dict(objective_count=1, max_priority=1, seed=0, vertex_count=5,
@@ -105,9 +96,3 @@ def test_base_graph_passthrough():
 def test_config_validation(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
         GeneratorConfig(**kwargs)
-
-
-def test_config_rejects_base_graph_with_counts():
-    with pytest.raises(ValueError, match="not both"):
-        GeneratorConfig(objective_count=1, max_priority=1, seed=0,
-                        base_graph=six_game(), vertex_count=6, edge_count=14)

@@ -42,12 +42,11 @@ from pgtemplates import (ComposeState, ConflictReport, GeneratorConfig,
                          compose, compose_templates, conjoin, find_conflicts,
                          generate, pad_to_odd, parity_template, reach_template,
                          relabel, solvers, template_text, transformers)
-from pgtemplates.graph import GameGraph, PLAYER0
+from pgtemplates.graph import GameGraph, PLAYER0, _range_ids
 from pgtemplates.solvers import (SolveResult, _buchi_region, _crossing_edges,
                                  _safety_region, cobuchi_template, cobuchi_win,
                                  parity_parts)
-from pgtemplates.transformers import (_attractor, _gather_ranges,
-                                      _restricted_degrees, attr_mask)
+from pgtemplates.transformers import _attractor, _restricted_degrees, attr_mask
 from conftest import compose_shaped_game, counted_steps, rand_game
 
 
@@ -58,7 +57,7 @@ def attr_mask_reference(g, target, player, universe=None):
     poff, psrc = g.pred_csr()
     frontier = np.flatnonzero(in_a)
     while frontier.size:
-        preds = _gather_ranges(poff, psrc, frontier)
+        preds = psrc[_range_ids(poff, frontier)]
         if universe is not None:
             preds = preds[universe[preds]]
         preds = preds[~in_a[preds]]
@@ -83,7 +82,7 @@ def uattr_mask_reference(g, target, universe=None):
     poff, psrc = g.pred_csr()
     frontier = np.flatnonzero(in_a)
     while frontier.size:
-        preds = _gather_ranges(poff, psrc, frontier)
+        preds = psrc[_range_ids(poff, frontier)]
         if universe is not None:
             preds = preds[universe[preds]]
         preds = preds[~in_a[preds]]

@@ -43,6 +43,11 @@ player-0 edges leaving its region, from one helper (solvers._solved):
 each producer calls it, or another producer that does, and builds no
 template itself, and no other production function stores into a mask
 at the edge ids _crossing_edges finds.
+
+CSR arithmetic has one owner, graph.py: no other production module
+defines the offsets, range-gather or by-key-order helpers, or fills
+offsets in place with np.cumsum(..., out=...), so a hand-rolled copy of
+the helpers fails here.
 """
 import ast
 import sys
@@ -451,3 +456,46 @@ def test_kernel_work_reader_sees_copies_of_the_kernel():
               "def shift(x, i):\n"
               "    x.flat[i] -= 1\n")
     assert _kernel_work(source) == [2, 3, 5, 11]
+
+
+CSR_MODULE = "graph.py"
+CSR_HELPERS = {"_offsets", "_range_ids", "_csr_order"}
+
+
+def _csr_work(source):
+    """Line numbers of the definitions of a CSR helper's name (a
+    function or an assigned name) and of the np.cumsum calls that write
+    into an out array, by keyword or as the fourth argument."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in CSR_HELPERS
+                or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node.id in CSR_HELPERS):
+            found.add(node.lineno)
+        elif (isinstance(node, ast.Call) and _called_name(node) == "cumsum"
+                and (len(node.args) >= 4 or any(k.arg == "out" for k in node.keywords))):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_csr_arithmetic_lives_in_graph():
+    sources = _sources(PACKAGE)
+    assert len(_csr_work(sources[CSR_MODULE])) == 4
+    assert [(name, line) for name, source in sorted(sources.items())
+            if name not in (CSR_MODULE, "oracle.py")
+            for line in _csr_work(source)] == []
+
+
+def test_csr_reader_sees_hand_rolled_offsets():
+    source = ("from .graph import _offsets, _range_ids\n"
+              "def _offsets(counts):\n"
+              "    off = np.zeros(len(counts) + 1, dtype=np.int64)\n"
+              "    np.cumsum(counts, out=off[1:])\n"
+              "    return off\n"
+              "_csr_order = sorted\n"
+              "def f(a, o):\n"
+              "    ends = np.cumsum(a)\n"
+              "    numpy.cumsum(a, 0, None, o)\n"
+              "    return ends, _range_ids(ends, a)\n")
+    assert _csr_work(source) == [2, 4, 6, 9]
